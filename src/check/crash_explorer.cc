@@ -53,6 +53,12 @@ std::string SegPath(const CheckerWorkload& workload, uint64_t r) {
   return workload.regions == 1 ? kSegPath : kSegPath + std::to_string(r);
 }
 
+// The instance's event ring as rvm-spans-v1 JSONL, for a failing outcome.
+std::string RingJsonl(const RvmInstance& rvm) {
+  StatusOr<std::string> jsonl = rvm.DumpSpansJsonl();
+  return jsonl.ok() ? *jsonl : std::string();
+}
+
 // Maps every workload region and returns the bases, or nullopt on the first
 // failure (a crash during Map).
 std::optional<std::vector<uint64_t*>> MapAllRegions(
@@ -305,7 +311,7 @@ ScheduleOutcome CrashExplorer::RunSchedule(const CrashSchedule& schedule) {
       MapAllRegions(*recovered, workload_);
   if (!bases.has_value()) {
     out.detail = "map after recovery failed";
-    out.trace_jsonl = recovered->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(*recovered);
     return out;
   }
   const uint64_t region_slots = workload_.region_len / sizeof(uint64_t);
@@ -319,7 +325,7 @@ ScheduleOutcome CrashExplorer::RunSchedule(const CrashSchedule& schedule) {
     out.detail = "ATOMICITY: recovered state matches no transaction prefix "
                  "(marker=" +
                  std::to_string(image[0]) + ")";
-    out.trace_jsonl = recovered->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(*recovered);
     return out;
   }
   out.recovered_prefix = *k;
@@ -327,7 +333,7 @@ ScheduleOutcome CrashExplorer::RunSchedule(const CrashSchedule& schedule) {
     out.detail = "PERMANENCE: flush-committed txn " +
                  std::to_string(fwd.last_ok_flush) +
                  " lost (recovered to " + std::to_string(*k) + ")";
-    out.trace_jsonl = recovered->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(*recovered);
     return out;
   }
   // An attempted-but-unacknowledged commit may land either way, so the
@@ -339,11 +345,11 @@ ScheduleOutcome CrashExplorer::RunSchedule(const CrashSchedule& schedule) {
     out.detail = "recovered txn " + std::to_string(*k) +
                  " whose commit was never attempted (last attempted " +
                  std::to_string(upper) + ")";
-    out.trace_jsonl = recovered->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(*recovered);
     return out;
   }
   if (!scrub_all(*recovered, "post-recovery")) {
-    out.trace_jsonl = recovered->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(*recovered);
     return out;
   }
 
@@ -362,19 +368,19 @@ ScheduleOutcome CrashExplorer::RunSchedule(const CrashSchedule& schedule) {
       MapAllRegions(**again, workload_);
   if (!bases2.has_value()) {
     out.detail = "IDEMPOTENCE: re-map failed";
-    out.trace_jsonl = (*again)->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(**again);
     return out;
   }
   for (uint64_t r = 0; r < workload_.regions; ++r) {
     if (std::memcmp((*bases2)[r], image.data() + r * region_slots,
                     region_slots * sizeof(uint64_t)) != 0) {
       out.detail = "IDEMPOTENCE: repeating recovery changed the image";
-      out.trace_jsonl = (*again)->DumpTraceJsonl();
+      out.trace_jsonl = RingJsonl(**again);
       return out;
     }
   }
   if (!scrub_all(**again, "post-idempotence")) {
-    out.trace_jsonl = (*again)->DumpTraceJsonl();
+    out.trace_jsonl = RingJsonl(**again);
     return out;
   }
   out.pass = true;

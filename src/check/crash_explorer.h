@@ -92,8 +92,8 @@ struct ScheduleOutcome {
   uint64_t last_attempted_commit = 0;
   // Human-readable explanation when pass is false.
   std::string detail;
-  // Flight recorder: the failing instance's trace ring as JSONL (one event
-  // per line), captured when validation fails with a live instance to dump.
+  // Flight recorder: the failing instance's event ring as an rvm-spans-v1
+  // document, captured when validation fails with a live instance to dump.
   // Empty on pass and on failures where no instance survived to ask.
   std::string trace_jsonl;
 };

@@ -95,13 +95,9 @@ Status ValidateOptions(const RvmOptions& options) {
         "span tracing requires span_ring_capacity > 0 (spans with no ring "
         "to record into)");
   }
-  // A million spans per shard (or retained outlier trees beyond any
-  // sidecar's usefulness) is a unit error, not a configuration.
+  // A million records per shard is a unit error, not a configuration.
   if (options.span_ring_capacity > (1ull << 20)) {
     return InvalidArgument("span_ring_capacity must be at most 2^20");
-  }
-  if (options.span_outlier_capacity > 64) {
-    return InvalidArgument("span_outlier_capacity must be at most 64");
   }
   if (!options.metrics_export_path.empty() && options.sample_capacity == 0) {
     return InvalidArgument(

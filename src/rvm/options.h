@@ -119,14 +119,16 @@ struct RvmOptions {
   // is single-threaded); benchmarks use kInline.
   TruncationMode truncation_mode = TruncationMode::kInline;
 
-  // Telemetry (DESIGN.md §10). The trace ring buffer keeps the newest
-  // `trace_capacity` events (txn begin/set_range/append/force/commit-ack,
-  // truncation, recovery, io-error/poison); 0 disables tracing entirely.
-  // Sized so a poison dump captures a few dozen transactions of context
-  // while the ring costs ~8 KiB per instance.
-  uint64_t trace_capacity = 256;
-  // When the instance poisons, dump the flight recorder (last trace events
-  // plus a full statistics snapshot) to "<log_path>.poison.json".
+  // Telemetry (DESIGN.md §10, §15). Every event — txn begin, set_range,
+  // append, force, commit, truncation, recovery, io-error/poison, scrub,
+  // repair, SLO transitions — is one record in a lock-free ring per log
+  // shard holding the newest `span_ring_capacity` records; 0 disables the
+  // ring (no records, no clock reads for them). Each slot is 64 bytes, so
+  // the default costs 64 KiB per shard and keeps a few hundred
+  // transactions of flight-recorder context.
+  uint64_t span_ring_capacity = 1024;
+  // When the instance poisons, dump the flight recorder (newest ring
+  // records plus a full statistics snapshot) to "<log_path>.poison.json".
   bool enable_poison_dump = true;
 
   // Continuous observability (DESIGN.md §11). sample_capacity bounds the
@@ -141,20 +143,15 @@ struct RvmOptions {
   uint64_t sample_interval_us = 0;
   uint64_t sample_capacity = 0;
 
-  // Per-transaction span tracing (DESIGN.md §15). Two capture policies run
-  // simultaneously: span_sample_rate keeps the full span tree of every Nth
+  // Per-transaction span trees (DESIGN.md §15). Every commit records its
+  // root; these two policies decide only whether its phase children are
+  // materialized too: span_sample_rate keeps the full tree of every Nth
   // transaction (1 = every transaction, 0 = sampling off), and any commit
   // whose end-to-end latency exceeds slow_commit_threshold_us has its tree
-  // retained unconditionally by the slow-commit outlier recorder (0 = off).
-  // The span layer is allocated only when at least one knob is nonzero, so
-  // the all-zero default takes no memory, reads no clocks, and is
-  // bit-identical to spans never having existed. span_ring_capacity bounds
-  // each shard's lock-free span ring; span_outlier_capacity bounds the
-  // most-recent slow-commit trees kept for the poison sidecar.
+  // materialized and retained for the poison sidecar (0 = off). Both need
+  // the ring (span_ring_capacity > 0).
   uint32_t span_sample_rate = 0;
   uint64_t slow_commit_threshold_us = 0;
-  uint64_t span_ring_capacity = 1024;
-  uint64_t span_outlier_capacity = 4;
 
   // Live metrics export and health (DESIGN.md §16). When nonempty, every
   // sampler tick additionally renders the full OpenMetrics exposition
@@ -171,7 +168,7 @@ struct RvmOptions {
   int32_t metrics_http_port = -1;
   // Declarative SLO rules evaluated on every sampler tick (grammar in
   // src/telemetry/slo.h): e.g. "rule p99 commit_p99_us > 50000 for=3".
-  // Firing/resolved transitions land in the trace ring, flip /healthz to
+  // Firing/resolved transitions land in the event ring, flip /healthz to
   // 503/200, and the live rule state is embedded in the poison sidecar.
   // Empty disables the engine. Parsed (and rejected) at Initialize.
   std::string slo_rules;

@@ -67,7 +67,6 @@
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/slo.h"
 #include "src/telemetry/span.h"
-#include "src/telemetry/trace.h"
 #include "src/util/interval_set.h"
 #include "src/util/status.h"
 
@@ -221,20 +220,11 @@ class RvmInstance {
     return http_ != nullptr ? static_cast<int>(http_->port()) : -1;
   }
 
-  // Flight recorder (DESIGN.md §10): the newest trace events, oldest first
-  // (up to RvmOptions::trace_capacity). Dumping does not clear the ring.
-  std::vector<TraceEvent> DumpTrace() const { return trace_.Events(); }
-  // The same events rendered as JSONL, one event per line (the format
-  // `rvmutl LOG trace` prints and the poison sidecar embeds).
-  std::string DumpTraceJsonl() const { return TraceJsonl(trace_.Events()); }
-
-  // Per-transaction span tracing (DESIGN.md §15). Enabled when either
-  // RvmOptions::span_sample_rate or slow_commit_threshold_us is nonzero;
-  // disabled, the layer does not exist (no memory, no clock reads, commit
-  // behavior bit-identical).
-  bool spans_enabled() const { return spans_ != nullptr; }
-  // Point-in-time merge of every shard's span ring, ordered by
-  // (start_us, span_id). Empty when spans are disabled.
+  // The event ring (DESIGN.md §10, §15): the flight recorder and span
+  // trees in one record model. A point-in-time merge of every shard's ring
+  // (up to RvmOptions::span_ring_capacity records each) in completion
+  // order, (end_us, span_id). Empty when the ring is off; dumping does not
+  // clear it.
   std::vector<Span> SpanSnapshot() const {
     return spans_ != nullptr ? spans_->Snapshot() : std::vector<Span>();
   }
@@ -244,9 +234,10 @@ class RvmInstance {
     return spans_ != nullptr ? spans_->OutlierTrees()
                              : std::vector<std::vector<Span>>();
   }
-  // The span snapshot as an rvm-spans-v1 JSONL document / a Chrome
-  // trace-event JSON object loadable in Perfetto (one track per shard, 2PC
-  // flow arrows). kFailedPrecondition when spans are disabled.
+  // The snapshot as an rvm-spans-v1 JSONL document (what `rvmutl LOG
+  // trace` prints) / a Chrome trace-event JSON object loadable in Perfetto
+  // (one track per shard, 2PC flow arrows). kFailedPrecondition when the
+  // ring is off.
   StatusOr<std::string> DumpSpansJsonl() const;
   StatusOr<std::string> DumpSpansChromeTrace() const;
 
@@ -466,10 +457,13 @@ class RvmInstance {
   // --- recovery & truncation (rvm_truncation.cc) ---
   Status RecoverLocked();
   // Applies one shard's live log to its segments (no status change; the
-  // caller empties the log only after every shard's apply is durable).
+  // caller empties the log only after every shard's apply is durable), and
+  // records the apply as a recovery-apply record from *phase_us, which
+  // advances to the record's end.
   Status RecoverShardBothLocked(LogShard& shard,
                                 const std::set<TransactionId>* decided,
-                                std::map<SegmentId, std::unique_ptr<File>>& files);
+                                std::map<SegmentId, std::unique_ptr<File>>& files,
+                                uint64_t* phase_us);
   // One walk over the shard's live log: transaction ids carrying a 2PC
   // prepare record, and ids carrying a decision or commit marker. Recovery
   // unions the decided sets across shards (presumed abort) and uses the
@@ -511,31 +505,34 @@ class RvmInstance {
   // Copies one shard's live records into a fresh, rvmutl-readable log (§6).
   Status ArchiveLiveLogBothLocked(LogShard& shard);
 
-  // Stack-side commit span context (DESIGN.md §15), filled along the commit
-  // path only when the span layer is enabled (`active`). Every field reuses
-  // a timestamp the path already takes for the phase histograms; the scope
-  // is materialized into a span tree at ack time when the commit is sampled
-  // or slower than the outlier threshold, and simply discarded otherwise.
-  // An inactive scope costs one branch per site.
+  // Stack-side commit context for the event ring (DESIGN.md §15). The
+  // commit path carries it only when the ring is on. Every timestamp reuses
+  // one the path already takes for the phase histograms. The root record
+  // is written at ack time; its id is allocated up front so the commit's
+  // own appends and the forces it leads link to it where they happen. The
+  // remaining phase children are materialized at ack time only when
+  // `trees` is set and the commit is sampled or slower than the outlier
+  // threshold.
   struct CommitSpanScope {
-    bool active = false;
+    bool trees = false;  // a capture policy is on (SpanCollector::captures_trees)
+    uint64_t root_id = 0;
     uint64_t tid = 0;
-    uint64_t start_us = 0;      // EndTransaction entry
-    uint64_t locked_us = 0;     // state lock acquired
-    uint64_t append_end_us = 0; // bookkeeping + append done
-    uint32_t shard = 0;         // single-shard commit: the target shard
-    // One per group-commit force this commit led (dwell may be absent).
-    struct ForceLeg {
+    uint64_t start_us = 0;       // EndTransaction entry
+    uint64_t locked_us = 0;      // state lock acquired
+    uint64_t append_end_us = 0;  // bookkeeping + append done
+    uint32_t shard = 0;          // single-shard commit: the target shard
+    // With `trees`: the children already in the ring, for the outlier copy.
+    std::vector<Span> recorded;
+    // With `trees`: one per group-commit dwell this commit led.
+    struct Dwell {
       uint32_t shard = 0;
-      uint64_t dwell_start_us = 0;
-      uint64_t dwell_end_us = 0;
-      uint64_t sync_start_us = 0;
-      uint64_t sync_end_us = 0;
+      uint64_t start_us = 0;
+      uint64_t end_us = 0;
     };
-    std::vector<ForceLeg> forces;
-    // Cross-shard 2PC intervals: per-participant prepare (append through
-    // its force) and the coordinator decision (append through the decision
-    // force — the commit point).
+    std::vector<Dwell> dwells;
+    // With `trees`: cross-shard 2PC intervals, per-participant prepare
+    // (append through its force) and the coordinator decision (append
+    // through the decision force — the commit point).
     struct TwoPcLeg {
       uint32_t shard = 0;
       bool decision = false;
@@ -544,15 +541,19 @@ class RvmInstance {
     };
     std::vector<TwoPcLeg> two_pc;
   };
-  // Builds and records the span tree for one acked commit. Call only with
-  // spans_ non-null and `scope.active`; `outlier` decides retention in the
-  // slow-commit store.
-  void EmitCommitSpans(const CommitSpanScope& scope, uint64_t end_us,
-                       uint64_t elapsed_us);
-  // Records one standalone maintenance span (truncation passes, recovery
-  // phases; tid 0). No-op when spans are disabled.
-  void EmitMaintenanceSpan(SpanKind kind, uint32_t shard, uint64_t start_us,
-                           uint64_t end_us, uint64_t arg);
+  // Records the commit's root and, when the commit is sampled or slow, its
+  // phase children. Call only with the ring on.
+  void RecordCommit(const CommitSpanScope& scope, uint64_t end_us,
+                    uint64_t elapsed_us);
+  // Records a child of the commit in `scope` (a standalone record when
+  // `scope` is null) and keeps a copy for its outlier tree. Ring on only.
+  void RecordCommitChild(Span span, CommitSpanScope* scope);
+  // Records one log append / one log force (DESIGN.md §10); `scope` links
+  // the record to the commit that issued it. Takes at most one clock read.
+  void RecordAppend(const LogShard& shard, TransactionId tid, uint64_t offset,
+                    CommitSpanScope* scope);
+  void RecordForce(const LogShard& shard, uint64_t start_us, uint64_t sync_us,
+                   CommitSpanScope* scope);
 
   // --- commit path (rvm.cc) ---
   // Shared body of EndTransaction and EndTransactionWithUndo: bookkeeping
@@ -572,12 +573,16 @@ class RvmInstance {
       TxnState& txn);
   void ReleaseUncommittedLocked(TxnState& txn);
   Status InterTransactionOptimizeLocked(LogShard& shard, const TxnState& txn);
+  // `span_scope` is the committing transaction's, when the entry is its
+  // own record.
   Status AppendSpoolEntryLocked(LogShard& shard, SpoolEntry& entry,
-                                uint8_t flags = 0);
+                                uint8_t flags = 0,
+                                CommitSpanScope* span_scope = nullptr);
   // Appends a zero-range 2PC control record (decision / commit marker),
   // with the same log-full reclaim-and-retry policy as data appends.
   Status AppendControlRecordLocked(LogShard& shard, TransactionId tid,
-                                   uint8_t flags);
+                                   uint8_t flags,
+                                   CommitSpanScope* span_scope);
   // Commits a transaction spanning several shards through the internal
   // two-phase protocol (src/dtx/shard_2pc.h). Durable on success.
   Status CommitCrossShardLocked(
@@ -632,16 +637,17 @@ class RvmInstance {
   void Poison(const Status& cause);
   // Counts an observed kIoError/kCorruption in stats_.io_errors.
   void NoteIoError(const Status& status);
-  // Best-effort flight-recorder dump to "<log_path>.poison.json" (trace tail
+  // Best-effort flight-recorder dump to "<log_path>.poison.json" (ring tail
   // plus a statistics snapshot in the telemetry schema). Called once from
   // Poison; write failures are swallowed — the instance is already dying and
   // the sidecar must never mask the original cause.
   void DumpPoisonSidecar(const Status& cause);
-  // Renders the retained slow-commit outlier trees (DESIGN.md §15) as extra
-  // sidecar fields (",\"spans_schema\":...,\"slow_commit_spans\":[[...]]"),
-  // or an empty string when spans are disabled. Lock-free like the rest of
-  // the sidecar path.
-  std::string OutlierSpansJson() const;
+  // The flight-recorder fields of a poison or quarantine sidecar:
+  // ",\"trace\":[...]" (the newest ring records as rvm-spans-v1 spans) and
+  // the retained slow-commit outlier trees (DESIGN.md §15) as
+  // ",\"spans_schema\":...,\"slow_commit_spans\":[[...]]". Empty fields when
+  // the ring is off. Lock-free like the rest of the sidecar path.
+  std::string FlightRecorderJson() const;
   // Entry gate: returns the poison cause if the instance is poisoned,
   // adopting a self-poisoned device's cause on first observation — shard 0's
   // as instance death, any other shard's as a quarantine (which does NOT
@@ -728,15 +734,22 @@ class RvmInstance {
   StatusOr<std::unique_ptr<File>> OpenSegmentBothLocked(LogShard& shard,
                                                         SegmentId id);
 
-  // Records a trace event stamped with env_->NowMicros(). Callable with any
-  // lock state (the recorder has its own leaf mutex); a no-op when tracing
-  // is disabled.
-  void Trace(TraceEventType type, uint64_t arg0 = 0, uint64_t arg1 = 0,
-             uint32_t shard = 0) {
-    if (trace_.capacity() != 0) {
-      trace_.Record(env_->NowMicros(), type, arg0, arg1, shard);
-    }
-  }
+  // Event-ring writers (DESIGN.md §10). Lock-free, so callable from any
+  // thread and lock state; no-ops that read no clock when the ring is off.
+  // RingNow is a timestamp for a record about to be made (0 when off).
+  uint64_t RingNow() const { return spans_ != nullptr ? env_->NowMicros() : 0; }
+  // Records `span` under the next span id.
+  void RecordSpan(Span span);
+  // A zero-duration event at a timestamp the caller already took.
+  void RecordEventAt(uint64_t at_us, SpanKind kind, uint64_t arg,
+                     uint32_t shard = 0, uint64_t tid = 0);
+  // A zero-duration event stamped now: one clock read.
+  void RecordEvent(SpanKind kind, uint64_t arg, uint32_t shard = 0,
+                   uint64_t tid = 0);
+  // A maintenance record from start_us to now; returns now, so consecutive
+  // phases can chain without another clock read.
+  uint64_t RecordPhase(SpanKind kind, uint32_t shard, uint64_t start_us,
+                       uint64_t arg);
 
   Env* env_;
   CpuMeter cpu_;
@@ -788,16 +801,13 @@ class RvmInstance {
   Status poison_cause_;
 
   RvmStatistics stats_;
-  // Trace ring (leaf mutex of its own; safe from any thread / lock state).
-  TraceRecorder trace_;
   // Time-series sampler (DESIGN.md §11); null when sample_capacity is 0.
   // Owns its ring behind a leaf mutex; its background thread (when
   // sample_interval_us > 0) pulls samples through TakeTimeseriesSample and
   // is stopped before Terminate takes the state lock.
   std::unique_ptr<StatsSampler> sampler_;
-  // Span collector (DESIGN.md §15); null unless span_sample_rate or
-  // slow_commit_threshold_us is set. Lock-free per-shard rings, safe from
-  // any thread / lock state.
+  // The event ring (DESIGN.md §10, §15); null when span_ring_capacity is
+  // 0. Lock-free per-shard rings, safe from any thread / lock state.
   std::unique_ptr<SpanCollector> spans_;
   // SLO engine (DESIGN.md §16); null when RvmOptions::slo_rules is empty.
   // Evaluated on every sampler tick; its own leaf mutex makes StateJson

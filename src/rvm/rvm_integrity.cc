@@ -155,7 +155,7 @@ StatusOr<bool> RvmInstance::TryRepairPageFromLogBothLocked(
     chk->Set(page, Crc32(std::span<const uint8_t>(image.data(), page_size_)));
   }
   ++stats_.pages_repaired;
-  Trace(TraceEventType::kPageRepair, id, page);
+  RecordEvent(SpanKind::kPageRepair, page, 0, id);
   RVM_LOG_INFO("repaired segment %llu page %llu from live log records",
                static_cast<unsigned long long>(id),
                static_cast<unsigned long long>(page));
@@ -222,7 +222,7 @@ Status RvmInstance::ScrubSegmentPages(uint32_t shard_index, SegmentId id,
       }
       ++report->mismatches;
       ++stats_.checksum_mismatches;
-      Trace(TraceEventType::kChecksumMismatch, id, page);
+      RecordEvent(SpanKind::kChecksumMismatch, page, 0, id);
       RVM_ASSIGN_OR_RETURN(
           bool repaired,
           TryRepairPageFromLogBothLocked(shard, id, file, page, len, &chk));
@@ -278,7 +278,7 @@ StatusOr<RvmInstance::ScrubReport> RvmInstance::ScrubShard(uint32_t shard_index)
       break;  // the shard just left service; nothing more to verify here
     }
   }
-  Trace(TraceEventType::kScrub, report.pages_scrubbed, report.mismatches);
+  RecordEvent(SpanKind::kScrub, report.mismatches, 0, report.pages_scrubbed);
   return report;
 }
 
@@ -306,7 +306,7 @@ StatusOr<RvmInstance::ScrubReport> RvmInstance::ScrubRegion(
   RVM_RETURN_IF_ERROR(FailIfPoisoned());
   RVM_RETURN_IF_ERROR(
       ScrubSegmentPages(shard_index, id, path, first_page, page_end, &report));
-  Trace(TraceEventType::kScrub, report.pages_scrubbed, report.mismatches);
+  RecordEvent(SpanKind::kScrub, report.mismatches, 0, report.pages_scrubbed);
   return report;
 }
 
@@ -330,7 +330,7 @@ Status RvmInstance::VerifyRegionOnMapLocked(SegmentId id,
       continue;
     }
     ++stats_.checksum_mismatches;
-    Trace(TraceEventType::kChecksumMismatch, id, page);
+    RecordEvent(SpanKind::kChecksumMismatch, page, 0, id);
     RVM_ASSIGN_OR_RETURN(
         bool repaired,
         TryRepairPageFromLogBothLocked(shard, id, file, page, len, &chk));

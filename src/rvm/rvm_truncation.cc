@@ -167,10 +167,17 @@ Status RvmInstance::CollectShardTidSetsBothLocked(
 
 Status RvmInstance::RecoverShardBothLocked(
     LogShard& shard, const std::set<TransactionId>* decided,
-    std::map<SegmentId, std::unique_ptr<File>>& files) {
-  return ApplyLogToSegmentsBothLocked(
-      shard, &stats_.recovery_records_applied, &stats_.recovery_bytes_applied,
+    std::map<SegmentId, std::unique_ptr<File>>& files, uint64_t* phase_us) {
+  StatCounter records;
+  Status applied = ApplyLogToSegmentsBothLocked(
+      shard, &records, &stats_.recovery_bytes_applied,
       &stats_.recovery_apply_us, decided, files);
+  stats_.recovery_records_applied += records;
+  if (applied.ok()) {
+    *phase_us =
+        RecordPhase(SpanKind::kRecoveryApply, shard.index, *phase_us, records);
+  }
+  return applied;
 }
 
 Status RvmInstance::RecoverLocked() {
@@ -179,19 +186,19 @@ Status RvmInstance::RecoverLocked() {
   // (§5.1.2's "reading the log from tail to head" starts from this recovered
   // tail). Multi-shard instances rely on this heavily — the group leader
   // defers status writes, so a whole batch tail may sit past the block.
+  //
+  // Each recovery record starts where the previous one ended, so the whole
+  // procedure costs one clock read per record plus this one (and one more
+  // on a multi-shard log, before phase 4).
+  uint64_t phase_us = RingNow();
   uint64_t discovered = 0;
   std::vector<LogShard*> live;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> log_lock(shard->log_mu);
-    const uint64_t scan_start_us = spans_ != nullptr ? env_->NowMicros() : 0;
     RVM_ASSIGN_OR_RETURN(uint64_t found, shard->log->ExtendTailForward());
     discovered += found;
-    Trace(TraceEventType::kRecoveryScan, found, shard->log->used(),
-          shard->index);
-    if (spans_ != nullptr) {
-      EmitMaintenanceSpan(SpanKind::kRecoveryScan, shard->index, scan_start_us,
-                          env_->NowMicros(), found);
-    }
+    phase_us =
+        RecordPhase(SpanKind::kRecoveryScan, shard->index, phase_us, found);
     if (shard->log->used() > 0) {
       live.push_back(shard.get());
     }
@@ -255,6 +262,9 @@ Status RvmInstance::RecoverLocked() {
   // thread per live shard, when there is real parallelism to gain. The
   // simulated environments stay sequential: their clocks and crash hooks
   // assume a single caller thread.
+  if (shards_.size() > 1) {
+    phase_us = RingNow();  // phases 2-3 belong to no one shard's record
+  }
   if (live.size() > 1 && env_ == GetRealEnv()) {
     std::vector<std::map<SegmentId, std::unique_ptr<File>>> caches(live.size());
     std::vector<Status> results(live.size(), OkStatus());
@@ -262,15 +272,10 @@ Status RvmInstance::RecoverLocked() {
     threads.reserve(live.size());
     for (size_t i = 0; i < live.size(); ++i) {
       threads.emplace_back([this, shard = live[i], decided_ptr, &caches,
-                            &results, i] {
+                            &results, i, apply_start_us = phase_us]() mutable {
         std::lock_guard<std::mutex> log_lock(shard->log_mu);
-        const uint64_t apply_start_us =
-            spans_ != nullptr ? env_->NowMicros() : 0;
-        results[i] = RecoverShardBothLocked(*shard, decided_ptr, caches[i]);
-        if (spans_ != nullptr) {
-          EmitMaintenanceSpan(SpanKind::kRecoveryApply, shard->index,
-                              apply_start_us, env_->NowMicros(), 0);
-        }
+        results[i] = RecoverShardBothLocked(*shard, decided_ptr, caches[i],
+                                            &apply_start_us);
       });
     }
     for (std::thread& thread : threads) {
@@ -289,13 +294,8 @@ Status RvmInstance::RecoverLocked() {
   } else {
     for (LogShard* shard : live) {
       std::lock_guard<std::mutex> log_lock(shard->log_mu);
-      const uint64_t apply_start_us = spans_ != nullptr ? env_->NowMicros() : 0;
-      RVM_RETURN_IF_ERROR(
-          RecoverShardBothLocked(*shard, decided_ptr, segment_files_));
-      if (spans_ != nullptr) {
-        EmitMaintenanceSpan(SpanKind::kRecoveryApply, shard->index,
-                            apply_start_us, env_->NowMicros(), 0);
-      }
+      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(*shard, decided_ptr,
+                                                 segment_files_, &phase_us));
     }
   }
 
@@ -316,7 +316,6 @@ Status RvmInstance::RecoverLocked() {
 
   const uint64_t records = stats_.recovery_records_applied;
   const uint64_t bytes = stats_.recovery_bytes_applied;
-  Trace(TraceEventType::kRecoveryApply, records, bytes);
   RVM_LOG_INFO(
       "recovery replayed %llu records (%llu bytes) to segments across %llu "
       "shard(s); %llu records found past the last durable tails",
@@ -420,7 +419,7 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
   }
   const uint64_t sync_us = env_->NowMicros() - sync_start_us;
   stats_.log_force_us.Record(sync_us);
-  Trace(TraceEventType::kForce, shard.log->durable_lsn(), sync_us, shard.index);
+  RecordForce(shard, sync_start_us, sync_us, nullptr);
   if (shard.log->used() == 0) {
     return OkStatus();
   }
@@ -428,9 +427,8 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
     RVM_RETURN_IF_ERROR(ArchiveLiveLogBothLocked(shard));
   }
   ++stats_.truncations_started;
-  Trace(TraceEventType::kTruncationStart, 0, 0, shard.index);
-  const uint64_t truncation_start_us =
-      spans_ != nullptr ? env_->NowMicros() : 0;
+  // The pass starts where the force above ended: no extra clock read.
+  const uint64_t truncation_start_us = sync_start_us + sync_us;
   RVM_RETURN_IF_ERROR(ApplyLogToSegmentsBothLocked(
       shard, &stats_.truncation_records_applied,
       &stats_.truncation_bytes_applied, &stats_.truncation_step_us,
@@ -463,11 +461,8 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
     ++stats_.truncations_completed;
     ++stats_.epoch_truncations;
   }
-  Trace(TraceEventType::kTruncationComplete, 0, 0, shard.index);
-  if (spans_ != nullptr) {
-    EmitMaintenanceSpan(SpanKind::kTruncation, shard.index,
-                        truncation_start_us, env_->NowMicros(), /*arg=*/0);
-  }
+  RecordPhase(SpanKind::kTruncation, shard.index, truncation_start_us,
+              /*arg=*/0);
   return OkStatus();
 }
 
@@ -552,14 +547,11 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
       segment_files_[region->segment_id] = std::move(file);
     }
     File* file = segment_files_[region->segment_id].get();
+    const uint64_t step_start_us = env_->NowMicros();
     if (!advanced) {
       ++stats_.truncations_started;
-      Trace(TraceEventType::kTruncationStart, 1, 0, shard.index);
-      if (spans_ != nullptr) {
-        truncation_start_us = env_->NowMicros();
-      }
+      truncation_start_us = step_start_us;
     }
-    const uint64_t step_start_us = env_->NowMicros();
     RVM_RETURN_IF_ERROR(
         file->WriteAt(region->segment_offset + page_start,
                       std::span<const uint8_t>(region->base + page_start, page_len)));
@@ -569,8 +561,10 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
     cpu_.Copy(page_len);
     entry.dirty = false;
     entry.in_queue = false;
-    stats_.truncation_step_us.Record(env_->NowMicros() - step_start_us);
-    Trace(TraceEventType::kTruncationStep, front.page, 0, shard.index);
+    const uint64_t step_end_us = env_->NowMicros();
+    stats_.truncation_step_us.Record(step_end_us - step_start_us);
+    RecordEventAt(step_end_us, SpanKind::kTruncationStep, front.page,
+                  shard.index);
     shard.page_queue.pop_front();
     ++stats_.incremental_steps;
     ++stats_.incremental_pages_written;
@@ -621,11 +615,8 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
   }
   shard.truncations.fetch_add(1, std::memory_order_relaxed);
   ++stats_.truncations_completed;
-  Trace(TraceEventType::kTruncationComplete, 1, 0, shard.index);
-  if (spans_ != nullptr) {
-    EmitMaintenanceSpan(SpanKind::kTruncation, shard.index,
-                        truncation_start_us, env_->NowMicros(), /*arg=*/1);
-  }
+  RecordPhase(SpanKind::kTruncation, shard.index, truncation_start_us,
+              /*arg=*/1);
   return status_write;
 }
 
@@ -665,7 +656,9 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
                        std::memory_order_release);
   }
   ++stats_.shard_repairs_started;
-  Trace(TraceEventType::kShardRepair, index, 0, index);
+  // The repair's recovery records chain from this event's timestamp.
+  uint64_t phase_us = RingNow();
+  RecordEventAt(phase_us, SpanKind::kShardRepair, 0, index);
 
   Status result = [&]() -> Status {
     // Phase 0: a fresh device on the healed file — never the poisoned fd
@@ -688,13 +681,9 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
     // scanning (records appended after the last durable status write, and
     // everything a failed sync left behind, are rediscovered here; a torn
     // trailing record fails its checksum and bounds the scan).
-    const uint64_t scan_start_us = spans_ != nullptr ? env_->NowMicros() : 0;
     RVM_ASSIGN_OR_RETURN(uint64_t found, shard.log->ExtendTailForward());
-    Trace(TraceEventType::kRecoveryScan, found, shard.log->used(), shard.index);
-    if (spans_ != nullptr) {
-      EmitMaintenanceSpan(SpanKind::kRecoveryScan, shard.index, scan_start_us,
-                          env_->NowMicros(), found);
-    }
+    phase_us =
+        RecordPhase(SpanKind::kRecoveryScan, shard.index, phase_us, found);
 
     if (shard.log->used() > 0) {
       // Phase 2: decided = (this shard's decisions ∪ every live sibling's
@@ -725,7 +714,7 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       // Phase 3+4: apply this shard's log newest-record-wins to its (
       // disjoint) segment set, prepares filtered through the decided set.
       RVM_RETURN_IF_ERROR(RecoverShardBothLocked(shard, &decided,
-                                                 segment_files_));
+                                                 segment_files_, &phase_us));
     }
 
     // Phase 5: declare the log empty — but if it carried cross-shard
@@ -784,8 +773,8 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
               chk.crc(page)) {
             ++stats_.checksum_mismatches;
             ++stats_.pages_quarantined;
-            Trace(TraceEventType::kChecksumMismatch, region->segment_id, page,
-                  shard.index);
+            RecordEvent(SpanKind::kChecksumMismatch, page, shard.index,
+                        region->segment_id);
             return Corruption("segment page failed checksum verification "
                               "during shard repair: " +
                               region->segment_path + " page " +
@@ -830,7 +819,7 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
                        std::memory_order_release);
   }
   ++stats_.shard_repairs_completed;
-  Trace(TraceEventType::kShardRepair, index, 1, index);
+  RecordEvent(SpanKind::kShardRepair, 1, index);
   RVM_LOG_INFO("rvm shard %u repaired and re-attached", index);
   // The quarantine sidecar is stale evidence now; best-effort cleanup.
   (void)env_->Delete(shard.path + ".quarantine.json");

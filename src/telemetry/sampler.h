@@ -1,5 +1,5 @@
 // StatsSampler: the continuous half of the telemetry subsystem. Where the
-// histograms summarize a whole run and the trace ring captures the last few
+// histograms summarize a whole run and the event ring captures the last few
 // hundred events, the sampler records a bounded ring of periodic state
 // samples — gauges plus counters — and renders them as an
 // "rvm-timeseries-v2" JSONL document (header line + one sample per line;

@@ -3,7 +3,7 @@
 // map of named signals per sample (every RvmGauges scalar plus the derived
 // commit percentiles); the engine evaluates each rule against it and tracks
 // a firing/resolved state machine per rule. Transitions — not levels — are
-// the output: the caller forwards them to the TraceRecorder, flips /healthz,
+// the output: the caller records them in the event ring, flips /healthz,
 // and embeds the live state in the poison sidecar.
 //
 // Rule grammar (one rule per line; '#' starts a comment):
@@ -69,7 +69,7 @@ StatusOr<std::vector<SloRule>> ParseSloRules(std::string_view text);
 struct SloTransition {
   std::string rule;
   // Index of the rule within the engine's rule vector — the stable integer
-  // a trace event can carry where the name cannot fit.
+  // a ring record can carry where the name cannot fit.
   uint64_t rule_index = 0;
   bool firing = false;  // true: inactive -> firing; false: firing -> resolved
   uint64_t timestamp_us = 0;

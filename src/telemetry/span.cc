@@ -7,6 +7,14 @@
 #include "src/telemetry/json.h"
 
 namespace rvm {
+namespace {
+
+// Completion order: the order the events were recorded in.
+bool EndsBefore(const Span& a, const Span& b) {
+  return a.end_us != b.end_us ? a.end_us < b.end_us : a.span_id < b.span_id;
+}
+
+}  // namespace
 
 const char* SpanKindName(SpanKind kind) {
   switch (kind) {
@@ -32,6 +40,30 @@ const char* SpanKindName(SpanKind kind) {
       return "recovery-scan";
     case SpanKind::kRecoveryApply:
       return "recovery-apply";
+    case SpanKind::kTxnBegin:
+      return "txn-begin";
+    case SpanKind::kSetRange:
+      return "set-range";
+    case SpanKind::kTruncationStep:
+      return "truncation-step";
+    case SpanKind::kIoError:
+      return "io-error";
+    case SpanKind::kPoison:
+      return "poison";
+    case SpanKind::kShardQuarantine:
+      return "shard-quarantine";
+    case SpanKind::kShardRepair:
+      return "shard-repair";
+    case SpanKind::kScrub:
+      return "scrub";
+    case SpanKind::kChecksumMismatch:
+      return "checksum-mismatch";
+    case SpanKind::kPageRepair:
+      return "page-repair";
+    case SpanKind::kSloFiring:
+      return "slo-firing";
+    case SpanKind::kSloResolved:
+      return "slo-resolved";
   }
   return "unknown";
 }
@@ -173,18 +205,14 @@ std::vector<Span> SpanRing::Snapshot() const {
     }
     out.push_back(span);
   }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.start_us != b.start_us ? a.start_us < b.start_us
-                                    : a.span_id < b.span_id;
-  });
+  std::sort(out.begin(), out.end(), EndsBefore);
   return out;
 }
 
 SpanCollector::SpanCollector(const Options& options)
     : shards_(options.shards == 0 ? 1 : options.shards),
       sample_rate_(options.sample_rate),
-      slow_threshold_us_(options.slow_threshold_us),
-      outlier_capacity_(options.outlier_capacity) {
+      slow_threshold_us_(options.slow_threshold_us) {
   rings_.reserve(shards_);
   for (uint32_t shard = 0; shard < shards_; ++shard) {
     rings_.push_back(std::make_unique<SpanRing>(options.ring_capacity));
@@ -195,16 +223,11 @@ void SpanCollector::Record(const Span& span) {
   rings_[span.shard < shards_ ? span.shard : 0]->Record(span);
 }
 
-void SpanCollector::RecordTree(const std::vector<Span>& tree, bool outlier) {
-  for (const Span& span : tree) {
-    Record(span);
-  }
-  if (!outlier) return;
+void SpanCollector::RetainOutlier(std::vector<Span> tree) {
   slow_commits_.fetch_add(1, std::memory_order_relaxed);
-  if (outlier_capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(outlier_mu_);
-  outliers_.push_back(tree);
-  while (outliers_.size() > outlier_capacity_) {
+  outliers_.push_back(std::move(tree));
+  while (outliers_.size() > kSpanOutlierCapacity) {
     outliers_.pop_front();
   }
 }
@@ -215,10 +238,7 @@ std::vector<Span> SpanCollector::Snapshot() const {
     std::vector<Span> shard_spans = ring->Snapshot();
     out.insert(out.end(), shard_spans.begin(), shard_spans.end());
   }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.start_us != b.start_us ? a.start_us < b.start_us
-                                    : a.span_id < b.span_id;
-  });
+  std::sort(out.begin(), out.end(), EndsBefore);
   return out;
 }
 

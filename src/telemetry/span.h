@@ -1,19 +1,22 @@
-// Per-transaction span tracing (DESIGN.md §15).
+// The event ring: per-transaction span tracing and the flight recorder
+// (DESIGN.md §10, §15), one record model.
 //
-// Spans answer the question the paper's Figure 9 answers in aggregate —
-// where does a transaction's time go? — but for one specific transaction:
-// each commit that is sampled (1-in-N by tid) or slower than the outlier
-// threshold leaves a small tree of intervals (queue-wait, append, dwell,
-// force, ack, and for cross-shard commits the per-participant 2PC prepare
-// and coordinator decision legs), all keyed by the transaction id so the
-// decision force on the coordinator shard can be correlated with the
-// prepare forces on the participant shards. Truncation passes and the
-// per-shard recovery phases emit standalone spans with tid 0.
+// Every observable event is a Span: an interval [start_us, end_us] of one
+// kind on one log shard, optionally owned by a transaction (tid) and linked
+// to a parent. Instantaneous events (txn-begin, io-error, poison, ...) are
+// zero-duration records. Every commit leaves one root record; each commit
+// that is sampled (1-in-N by tid) or slower than the outlier threshold also
+// leaves its phase children (queue-wait, dwell, ack, and for cross-shard
+// commits the per-participant 2PC prepare and coordinator decision legs),
+// all keyed by the transaction id so the decision force on the coordinator
+// shard can be correlated with the prepare forces on the participant
+// shards. A commit's own appends and the forces it leads are recorded where
+// they happen and link to its root.
 //
-// Spans are stamped with the owning Env's clock, so a run under SimEnv or
+// Records are stamped with the owning Env's clock, so a run under SimEnv or
 // CrashSimEnv produces bit-identical traces. Collection is a per-shard
-// lock-free ring (SpanRing) safe to write from any commit thread; readers
-// take a point-in-time snapshot without stopping writers.
+// lock-free ring (SpanRing) safe to write from any thread and lock state;
+// readers take a point-in-time snapshot without stopping writers.
 //
 // This layer must not depend on src/rvm — the instance owns a
 // SpanCollector and pushes fully-formed Span values into it.
@@ -32,17 +35,31 @@
 namespace rvm {
 
 enum class SpanKind : uint8_t {
-  kCommit = 0,     // root of a commit tree; arg = end-to-end latency (µs)
+  kCommit = 0,     // root of a commit; arg = end-to-end latency (µs)
   kQueueWait,      // waiting for the state lock; arg = wait (µs)
-  kAppend,         // bookkeeping + log append under the state lock
+  kAppend,         // bookkeeping + log append; arg = log offset of the record
   kDwell,          // group-commit leader dwell window
-  kForce,          // the log fsync itself; arg = sync (µs)
+  kForce,          // one log fsync; arg = durable LSN after it
   kAck,            // from the last durable point to the commit ack
   kTwoPcPrepare,   // 2PC participant prepare append + force (one per shard)
   kTwoPcDecision,  // 2PC coordinator decision force — the commit point
   kTruncation,     // one truncation pass; arg = 0 epoch, 1 incremental
-  kRecoveryScan,   // per-shard tail scan at recovery
-  kRecoveryApply,  // per-shard log-to-segment replay at recovery
+  kRecoveryScan,   // per-shard tail scan; arg = records found past the tail
+  kRecoveryApply,  // per-shard log-to-segment replay; arg = records applied
+  // Zero-duration events. Those that carry two values and own no
+  // transaction put the first in `tid` (noted as tid=).
+  kTxnBegin,          // tid = the new transaction
+  kSetRange,          // arg = length
+  kTruncationStep,    // arg = page index written back
+  kIoError,           // arg = ErrorCode of the observed failure
+  kPoison,            // arg = ErrorCode of the poisoning failure
+  kShardQuarantine,   // shard = the quarantined shard; arg = ErrorCode
+  kShardRepair,       // shard = the repaired shard; arg = 0 started, 1 done
+  kScrub,             // tid= pages scrubbed; arg = mismatches found
+  kChecksumMismatch,  // tid= segment id; arg = page index in the file
+  kPageRepair,        // tid= segment id; arg = page index in the file
+  kSloFiring,         // tid= rule index; arg = signal value (truncated)
+  kSloResolved,       // tid= rule index; arg = signal value (truncated)
 };
 
 // Stable lowercase-dash name, the "kind" field of rvm-spans-v1.
@@ -51,7 +68,7 @@ const char* SpanKindName(SpanKind kind);
 struct Span {
   uint64_t span_id = 0;    // nonzero, unique within one collector
   uint64_t parent_id = 0;  // 0 = root
-  uint64_t tid = 0;        // owning transaction; 0 for maintenance spans
+  uint64_t tid = 0;        // owning transaction (see SpanKind); else 0
   SpanKind kind = SpanKind::kCommit;
   uint32_t shard = 0;      // log shard the work ran against
   uint64_t start_us = 0;   // owning Env's clock
@@ -80,13 +97,15 @@ std::string SpansToChromeTrace(const std::vector<Span>& spans,
 // fetch_add and publish through a per-slot sequence word (odd while a write
 // is in flight, even once complete); every payload field is a relaxed
 // atomic, so concurrent wrap-around is a stale read, never a data race.
-// Snapshot() drops slots it observes mid-overwrite.
+// Snapshot() drops slots it observes mid-overwrite. Each slot is 64 bytes.
 class SpanRing {
  public:
   explicit SpanRing(size_t capacity);
 
   void Record(const Span& span);
-  // Completed slots, ordered by (start_us, span_id). Does not clear.
+  // Completed slots in completion order, (end_us, span_id): a record is
+  // written when it ends, so this is the order a flight recorder saw them
+  // in. Does not clear — dumping evidence must not erase it.
   std::vector<Span> Snapshot() const;
 
   uint64_t recorded() const {
@@ -113,17 +132,23 @@ class SpanRing {
     std::atomic<uint64_t> end_us{0};
     std::atomic<uint64_t> arg{0};
   };
+  // RvmOptions::span_ring_capacity's memory budget assumes this size.
+  static_assert(sizeof(Slot) == 64);
 
   const size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<uint64_t> next_{0};
 };
 
+// Most recent slow-commit trees a SpanCollector retains for the poison
+// sidecar.
+inline constexpr size_t kSpanOutlierCapacity = 4;
+
 // Owns one SpanRing per log shard plus the slow-commit outlier store. The
-// two capture policies run simultaneously: SampleTid implements the 1-in-N
-// sampling knob, and RecordTree(tree, /*outlier=*/true) additionally
-// retains the whole tree of a commit that blew the latency threshold
-// (most recent `outlier_capacity` trees, embedded in the poison sidecar).
+// two commit-tree capture policies run simultaneously: SampleTid implements
+// the 1-in-N sampling knob, and RetainOutlier keeps the whole tree of a
+// commit that blew the latency threshold (most recent kSpanOutlierCapacity
+// trees, embedded in the poison sidecar).
 class SpanCollector {
  public:
   struct Options {
@@ -131,7 +156,6 @@ class SpanCollector {
     size_t ring_capacity = 1024;     // per shard
     uint32_t sample_rate = 0;        // sample 1-in-N tids; 0 = off
     uint64_t slow_threshold_us = 0;  // outlier recorder; 0 = off
-    size_t outlier_capacity = 4;     // most recent K slow-commit trees
   };
   explicit SpanCollector(const Options& options);
 
@@ -140,19 +164,23 @@ class SpanCollector {
     return sample_rate_ != 0 && tid % sample_rate_ == 0;
   }
   uint64_t slow_threshold_us() const { return slow_threshold_us_; }
+  // True when either policy can materialize a commit's phase children.
+  bool captures_trees() const {
+    return sample_rate_ != 0 || slow_threshold_us_ != 0;
+  }
 
   // Allocates the next span id (starts at 1; 0 means "no parent").
   uint64_t NextSpanId() {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Records one standalone span into its shard's ring.
+  // Records one span into its shard's ring.
   void Record(const Span& span);
-  // Records a whole commit tree; when `outlier`, also retains the tree in
+  // Counts a slow commit and retains its whole tree (already recorded) in
   // the bounded most-recent-outliers store.
-  void RecordTree(const std::vector<Span>& tree, bool outlier);
+  void RetainOutlier(std::vector<Span> tree);
 
-  // Point-in-time merge of every shard's ring, ordered (start_us, span_id).
+  // Point-in-time merge of every shard's ring, ordered (end_us, span_id).
   std::vector<Span> Snapshot() const;
   // The retained slow-commit trees, oldest first.
   std::vector<std::vector<Span>> OutlierTrees() const;
@@ -168,7 +196,6 @@ class SpanCollector {
   const uint32_t shards_;
   const uint32_t sample_rate_;
   const uint64_t slow_threshold_us_;
-  const size_t outlier_capacity_;
   std::vector<std::unique_ptr<SpanRing>> rings_;
   std::atomic<uint64_t> next_span_id_{1};
   std::atomic<uint64_t> slow_commits_{0};

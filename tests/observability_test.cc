@@ -425,7 +425,7 @@ TEST(TimeseriesLifecycleTest, ExplicitDumpWritesRequestedPath) {
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << jsonl;
 }
 
-// Poison must flush the ring even with the trace ring disabled (the
+// Poison must flush the ring even with the event ring disabled (the
 // timeseries dump is independent of the flight recorder), and must not take
 // a new sample (the poisoning thread may hold instance locks).
 TEST(TimeseriesLifecycleTest, PoisonFlushesRingWithTraceDisabled) {
@@ -435,7 +435,7 @@ TEST(TimeseriesLifecycleTest, PoisonFlushesRingWithTraceDisabled) {
   RvmOptions options;
   options.env = &env;
   options.log_path = "/log";
-  options.trace_capacity = 0;  // no flight recorder
+  options.span_ring_capacity = 0;  // no flight recorder
   options.sample_capacity = 8;
   auto rvm = RvmInstance::Initialize(options);
   ASSERT_TRUE(rvm.ok());

@@ -167,30 +167,43 @@ TEST_F(RvmutlTest, CheckJsonRejectsInvalidDocument) {
 TEST_F(RvmutlTest, TracePrintsRecoveryEvents) {
   CommandResult result = RunTool(log_path_ + " trace");
   EXPECT_EQ(result.exit_code, 0) << result.output;
-  // Opening the log replays the three committed transactions; the trace of
-  // that recovery is the tool's entire output, as JSONL.
-  EXPECT_NE(result.output.find("\"event\":\"recovery-scan\""),
+  // Opening the log replays the three committed transactions; the event
+  // ring of that recovery is the tool's entire output, an rvm-spans-v1
+  // document.
+  EXPECT_NE(result.output.find("\"kind\":\"recovery-scan\""),
             std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("\"event\":\"recovery-apply\""),
+  EXPECT_NE(result.output.find("\"kind\":\"recovery-apply\""),
             std::string::npos)
       << result.output;
+  // ... which the schema-sniffing validator accepts.
+  const std::string trace_path = (dir_ / "trace.jsonl").string();
+  FILE* out = std::fopen(trace_path.c_str(), "w");
+  ASSERT_NE(out, nullptr);
+  std::fputs(result.output.c_str(), out);
+  std::fclose(out);
+  CommandResult check = RunTool("check-json " + trace_path);
+  EXPECT_EQ(check.exit_code, 0) << check.output;
+  EXPECT_NE(check.output.find("rvm-spans-v1"), std::string::npos)
+      << check.output;
 }
 
-TEST_F(RvmutlTest, TopThenTimelineRoundTrip) {
-  // `top` drives its own scratch workload, samples on an interval, and dumps
-  // the ring on Terminate; `timeline` must validate and render that dump.
-  CommandResult top =
-      RunTool("top --duration-ms=600 --interval-ms=100 --threads=2");
-  EXPECT_EQ(top.exit_code, 0) << top.output;
-  EXPECT_NE(top.output.find("committed, refresh"), std::string::npos)
-      << top.output;
+TEST_F(RvmutlTest, WatchGaugesThenTimelineRoundTrip) {
+  // `watch --gauges` drives its own scratch workload, renders the gauge
+  // table on an interval, and dumps the sampler ring on Terminate;
+  // `timeline` must validate and render that dump.
+  CommandResult watch = RunTool(
+      "watch --gauges --duration-ms=600 --interval-ms=100 --threads=2");
+  EXPECT_EQ(watch.exit_code, 0) << watch.output;
+  EXPECT_NE(watch.output.find("committed, refresh"), std::string::npos)
+      << watch.output;
+  EXPECT_NE(watch.output.find("log"), std::string::npos) << watch.output;
   const std::string marker = "time series dumped to ";
-  size_t at = top.output.find(marker);
-  ASSERT_NE(at, std::string::npos) << top.output;
+  size_t at = watch.output.find(marker);
+  ASSERT_NE(at, std::string::npos) << watch.output;
   at += marker.size();
   const std::string dump_path =
-      top.output.substr(at, top.output.find('\n', at) - at);
+      watch.output.substr(at, watch.output.find('\n', at) - at);
 
   CommandResult timeline = RunTool("timeline " + dump_path);
   EXPECT_EQ(timeline.exit_code, 0) << timeline.output;
@@ -202,8 +215,8 @@ TEST_F(RvmutlTest, TopThenTimelineRoundTrip) {
       << timeline.output;
   EXPECT_NE(timeline.output.find("committed"), std::string::npos);
 
-  // `top` leaves its scratch directory for exactly this kind of post-mortem;
-  // the test cleans it up.
+  // `watch` leaves its scratch directory for exactly this kind of
+  // post-mortem; the test cleans it up.
   std::filesystem::remove_all(std::filesystem::path(dump_path).parent_path());
 }
 
@@ -363,11 +376,19 @@ TEST_F(RvmutlTest, HelpListsEveryCommand) {
   // from the help.
   for (const char* command :
        {"status", "segments", "records", "history", "verify", "scrub",
-        "stats", "trace", "health", "repair", "explore", "top", "watch",
-        "spans", "timeline", "check-json", "check-metrics", "slo"}) {
-    EXPECT_NE(result.output.find(command), std::string::npos)
+        "stats", "trace", "health", "repair", "explore", "watch",
+        "timeline", "check-json", "check-metrics", "slo"}) {
+    EXPECT_NE(result.output.find(std::string("\n  ") + command),
+              std::string::npos)
         << "missing '" << command << "' in:\n"
         << result.output;
+  }
+  // `top` and `spans` were folded into `watch` (--gauges, --spans).
+  for (const char* retired : {"top", "spans"}) {
+    EXPECT_EQ(result.output.find(std::string("\n  ") + retired + " "),
+              std::string::npos)
+        << retired;
+    EXPECT_EQ(RunTool(retired).exit_code, 2) << retired;
   }
   EXPECT_NE(result.output.find("exit codes"), std::string::npos);
   EXPECT_NE(result.output.find("check-json schemas:"), std::string::npos);
@@ -419,6 +440,55 @@ TEST_F(RvmutlTest, WatchExportsLintedMetricsAndServesHttp) {
       result.output.substr(at, result.output.find('\n', at) - at);
   CommandResult check = RunTool("check-metrics " + path);
   EXPECT_EQ(check.exit_code, 0) << check.output;
+}
+
+TEST_F(RvmutlTest, WatchExportsSpansWithCrossShardTrees) {
+  const std::string spans_path = (dir_ / "spans.jsonl").string();
+  const std::string chrome_path = (dir_ / "spans-chrome.json").string();
+  CommandResult result =
+      RunTool("watch --txns=60 --interval-ms=50 --threads=2 --shards=2 "
+              "--sample=1 --slow-us=1 --spans=" +
+              spans_path + " --chrome=" + chrome_path);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("60 committed;"), std::string::npos)
+      << "--txns=N stops after exactly N commits:\n"
+      << result.output;
+  CommandResult check = RunTool("check-json " + spans_path);
+  EXPECT_EQ(check.exit_code, 0) << check.output;
+  std::FILE* in = std::fopen(spans_path.c_str(), "r");
+  ASSERT_NE(in, nullptr);
+  std::string spans;
+  char buffer[4096];
+  for (size_t n; (n = std::fread(buffer, 1, sizeof(buffer), in)) > 0;) {
+    spans.append(buffer, n);
+  }
+  std::fclose(in);
+  // The multi-shard mix commits across shards through the internal 2PC.
+  EXPECT_NE(spans.find("\"kind\":\"2pc-prepare\""), std::string::npos);
+  EXPECT_NE(spans.find("\"kind\":\"2pc-decision\""), std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(chrome_path));
+}
+
+// Numeric flags parse strictly: a malformed value is a usage error (exit 2
+// with a message), never an abort, a wrapped count or a truncated width.
+TEST_F(RvmutlTest, NonNumericFlagIsAUsageError) {
+  CommandResult result = RunTool("watch --threads=abc");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--threads"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(RvmutlTest, NegativeFlagIsAUsageError) {
+  CommandResult result = RunTool("watch --txns=-5 --sample=1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--txns"), std::string::npos) << result.output;
+}
+
+TEST_F(RvmutlTest, OutOfRangeFlagIsAUsageError) {
+  CommandResult result = RunTool("watch --threads=4294967297");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--threads"), std::string::npos)
+      << result.output;
 }
 
 TEST_F(RvmutlTest, SloReplayReportsTransitionsAndExitCodes) {

@@ -1,4 +1,4 @@
-// Span tracing (DESIGN.md §15): the lock-free span ring, the collector's two
+// Span tracing (DESIGN.md §15): the lock-free event ring, the collector's two
 // capture policies (1-in-N sampling and the slow-commit outlier recorder),
 // the exact deterministic span trees a commit leaves under the simulated
 // environments, the cross-shard 2PC correlation, and the rvm-spans-v1 /
@@ -54,6 +54,22 @@ TEST(SpanRingTest, RecordsAndSnapshotsInStartOrder) {
   EXPECT_EQ(spans[0].end_us, 110u);
   EXPECT_EQ(ring.recorded(), 3u);
   EXPECT_EQ(ring.dropped(), 0u);
+}
+
+// A snapshot lists records in completion order, the order the flight
+// recorder saw them in: a long span that started first but ended last
+// (a commit root around its append) sorts after what it encloses.
+TEST(SpanRingTest, SnapshotOrdersByCompletion) {
+  SpanRing ring(8);
+  Span root = MakeSpan(1, 100);
+  root.end_us = 500;
+  Span child = MakeSpan(2, 200);  // ends at 210
+  ring.Record(child);
+  ring.Record(root);
+  std::vector<Span> spans = ring.Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].span_id, 2u);
+  EXPECT_EQ(spans[1].span_id, 1u);
 }
 
 TEST(SpanRingTest, WrapKeepsNewestAndCountsDropped) {
@@ -155,17 +171,16 @@ TEST(SpanCollectorTest, RoutesSpansByShardAndMergesSnapshots) {
 TEST(SpanCollectorTest, OutlierStoreIsBoundedMostRecent) {
   SpanCollector::Options options;
   options.slow_threshold_us = 1;
-  options.outlier_capacity = 2;
   SpanCollector collector(options);
-  for (uint64_t i = 1; i <= 5; ++i) {
-    std::vector<Span> tree = {MakeSpan(collector.NextSpanId(), i * 100)};
-    collector.RecordTree(tree, /*outlier=*/true);
+  const uint64_t trees = kSpanOutlierCapacity + 2;
+  for (uint64_t i = 1; i <= trees; ++i) {
+    collector.RetainOutlier({MakeSpan(collector.NextSpanId(), i * 100)});
   }
-  EXPECT_EQ(collector.slow_commits(), 5u);
+  EXPECT_EQ(collector.slow_commits(), trees);
   std::vector<std::vector<Span>> outliers = collector.OutlierTrees();
-  ASSERT_EQ(outliers.size(), 2u);
-  EXPECT_EQ(outliers[0][0].start_us, 400u);
-  EXPECT_EQ(outliers[1][0].start_us, 500u);
+  ASSERT_EQ(outliers.size(), kSpanOutlierCapacity);
+  EXPECT_EQ(outliers.front()[0].start_us, 300u);
+  EXPECT_EQ(outliers.back()[0].start_us, trees * 100);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,12 +241,19 @@ TEST(RvmSpanTest, SampledFlushCommitLeavesTheExactTree) {
     if (span.kind == SpanKind::kCommit) {
       continue;
     }
-    // Initialize emits standalone recovery maintenance spans (tid 0) even on
-    // a fresh log; only the commit's children belong to the tree under test.
+    // Initialize emits standalone recovery records (tid 0) even on a fresh
+    // log, and the transaction's begin and set-range events are standalone
+    // instants; only the commit's children belong to the tree under test.
     if (span.kind == SpanKind::kRecoveryScan ||
         span.kind == SpanKind::kRecoveryApply) {
       EXPECT_EQ(span.tid, 0u);
       EXPECT_EQ(span.parent_id, 0u);
+      continue;
+    }
+    if (span.kind == SpanKind::kTxnBegin || span.kind == SpanKind::kSetRange) {
+      EXPECT_EQ(span.tid, root->tid);
+      EXPECT_EQ(span.parent_id, 0u);
+      EXPECT_EQ(span.start_us, span.end_us) << "events are instants";
       continue;
     }
     EXPECT_EQ(span.parent_id, root->span_id) << "children link to the root";
@@ -341,7 +363,6 @@ TEST(RvmSpanTest, SlowCommitOutlierIsRecordedUnconditionally) {
   options.slow_commit_threshold_us = 1;
   auto rvm = RvmInstance::Initialize(options);
   ASSERT_TRUE(rvm.ok());
-  EXPECT_TRUE((*rvm)->spans_enabled());
   RegionDescriptor region;
   region.segment_path = "/data/seg";
   region.length = 4 * kPage;
@@ -358,16 +379,31 @@ TEST(RvmSpanTest, SlowCommitOutlierIsRecordedUnconditionally) {
   EXPECT_EQ((*rvm)->Introspect().slow_commits, 1u);
   std::vector<std::vector<Span>> outliers = (*rvm)->SlowCommitSpans();
   ASSERT_EQ(outliers.size(), 1u);
-  bool saw_root = false;
+  // The retained tree is whole: its root, and the append and force that
+  // were recorded where they happened, under the ids the ring holds.
+  ASSERT_FALSE(outliers[0].empty());
+  const Span& root = outliers[0].front();
+  EXPECT_EQ(root.kind, SpanKind::kCommit);
+  std::set<uint64_t> ids;
+  std::multiset<SpanKind> kinds;
   for (const Span& span : outliers[0]) {
-    saw_root = saw_root || span.kind == SpanKind::kCommit;
+    EXPECT_NE(span.span_id, 0u);
+    ids.insert(span.span_id);
+    if (&span != &root) {
+      EXPECT_EQ(span.parent_id, root.span_id);
+      kinds.insert(span.kind);
+    }
   }
-  EXPECT_TRUE(saw_root);
+  EXPECT_EQ(ids.size(), outliers[0].size()) << "span ids are unique";
+  EXPECT_EQ(kinds.count(SpanKind::kAppend), 1u);
+  EXPECT_EQ(kinds.count(SpanKind::kForce), 1u);
   EXPECT_FALSE((*rvm)->SpanSnapshot().empty())
       << "outliers also land in the rings";
 }
 
 TEST(RvmSpanTest, DisabledByDefaultAndDumpFailsCleanly) {
+  // By default the ring holds each commit's root but no span tree: both
+  // capture policies are off.
   MemEnv env;
   ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
   RvmOptions options;
@@ -375,12 +411,35 @@ TEST(RvmSpanTest, DisabledByDefaultAndDumpFailsCleanly) {
   options.log_path = "/log";
   auto rvm = RvmInstance::Initialize(options);
   ASSERT_TRUE(rvm.ok());
-  EXPECT_FALSE((*rvm)->spans_enabled());
-  EXPECT_TRUE((*rvm)->SpanSnapshot().empty());
+  RegionDescriptor region;
+  region.segment_path = "/seg";
+  region.length = kPage;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  auto* base = static_cast<uint8_t*>(region.address);
+  Transaction txn(**rvm);
+  ASSERT_TRUE(txn.SetRange(base, 8).ok());
+  base[0] = 1;
+  ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+  size_t roots = 0;
+  for (const Span& span : (*rvm)->SpanSnapshot()) {
+    roots += span.kind == SpanKind::kCommit ? 1 : 0;
+    EXPECT_NE(span.kind, SpanKind::kQueueWait) << "no tree materialized";
+    EXPECT_NE(span.kind, SpanKind::kAck) << "no tree materialized";
+  }
+  EXPECT_EQ(roots, 1u);
   EXPECT_TRUE((*rvm)->SlowCommitSpans().empty());
-  EXPECT_EQ((*rvm)->DumpSpansJsonl().status().code(),
+
+  // With the ring off there is nothing to dump, and the dumps say so.
+  MemEnv off_env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&off_env, "/log", 1 << 20).ok());
+  options.env = &off_env;
+  options.span_ring_capacity = 0;
+  auto off = RvmInstance::Initialize(options);
+  ASSERT_TRUE(off.ok());
+  EXPECT_TRUE((*off)->SpanSnapshot().empty());
+  EXPECT_EQ((*off)->DumpSpansJsonl().status().code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ((*rvm)->DumpSpansChromeTrace().status().code(),
+  EXPECT_EQ((*off)->DumpSpansChromeTrace().status().code(),
             ErrorCode::kFailedPrecondition);
 }
 

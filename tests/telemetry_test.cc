@@ -1,8 +1,8 @@
 // Telemetry subsystem tests: histogram bucket math and percentiles,
-// StatCounter watermark races, the trace ring, the JSON parser/validator,
-// and the end-to-end flight recorder — a deterministic trace of one
-// committed transaction and the poison-dump sidecar written on the first
-// I/O failure.
+// StatCounter watermark races, the JSON parser/validator, and the
+// end-to-end flight recorder (the event ring, DESIGN.md §10) — a
+// deterministic record sequence of one committed transaction and the
+// poison-dump sidecar written on the first I/O failure.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,7 +15,7 @@
 #include "src/rvm/rvm.h"
 #include "src/telemetry/histogram.h"
 #include "src/telemetry/json.h"
-#include "src/telemetry/trace.h"
+#include "src/telemetry/span.h"
 
 namespace rvm {
 namespace {
@@ -156,77 +156,6 @@ TEST(StatCounterTest, SaturatingSubClampsAtZero) {
   EXPECT_EQ(SaturatingSub(3, 5), 0u);
   EXPECT_EQ(SaturatingSub(0, 0), 0u);
   EXPECT_EQ(SaturatingSub(UINT64_MAX, 1), UINT64_MAX - 1);
-}
-
-// ---------------------------------------------------------------------------
-// TraceRecorder
-
-TEST(TraceRecorderTest, RecordsInOrder) {
-  TraceRecorder recorder(8);
-  recorder.Record(1, TraceEventType::kTxnBegin, 7);
-  recorder.Record(2, TraceEventType::kSetRange, 7, 512);
-  recorder.Record(3, TraceEventType::kCommitAck, 7, 42);
-  std::vector<TraceEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].type, TraceEventType::kTxnBegin);
-  EXPECT_EQ(events[1].type, TraceEventType::kSetRange);
-  EXPECT_EQ(events[1].arg1, 512u);
-  EXPECT_EQ(events[2].type, TraceEventType::kCommitAck);
-  EXPECT_EQ(recorder.recorded(), 3u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  // Events() does not clear: dumping evidence must not erase it.
-  EXPECT_EQ(recorder.Events().size(), 3u);
-}
-
-TEST(TraceRecorderTest, RingWrapKeepsNewest) {
-  TraceRecorder recorder(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    recorder.Record(i, TraceEventType::kAppend, i);
-  }
-  std::vector<TraceEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].arg0, 6 + i);  // oldest-first: 6, 7, 8, 9
-  }
-  EXPECT_EQ(recorder.recorded(), 10u);
-  EXPECT_EQ(recorder.dropped(), 6u);
-
-  std::vector<TraceEvent> tail = recorder.Tail(2);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].arg0, 8u);
-  EXPECT_EQ(tail[1].arg0, 9u);
-  // Asking for more than is live returns everything live.
-  EXPECT_EQ(recorder.Tail(100).size(), 4u);
-}
-
-TEST(TraceRecorderTest, ZeroCapacityDisables) {
-  TraceRecorder recorder(0);
-  recorder.Record(1, TraceEventType::kPoison, 5);
-  EXPECT_TRUE(recorder.Events().empty());
-  EXPECT_EQ(recorder.recorded(), 0u);
-}
-
-TEST(TraceRecorderTest, JsonlRendering) {
-  TraceEvent event;
-  event.timestamp_us = 12;
-  event.type = TraceEventType::kForce;
-  event.arg0 = 4096;
-  event.arg1 = 17400;
-  event.shard = 2;
-  EXPECT_EQ(TraceEventJson(event),
-            "{\"ts_us\":12,\"event\":\"force\",\"arg0\":4096,\"arg1\":17400,"
-            "\"shard\":2}");
-
-  TraceRecorder recorder(4);
-  recorder.Record(1, TraceEventType::kTxnBegin, 1);
-  recorder.Record(2, TraceEventType::kCommitAck, 1, 3);
-  std::string jsonl = TraceJsonl(recorder.Events());
-  EXPECT_EQ(
-      jsonl,
-      "{\"ts_us\":1,\"event\":\"txn-begin\",\"arg0\":1,\"arg1\":0,"
-      "\"shard\":0}\n"
-      "{\"ts_us\":2,\"event\":\"commit-ack\",\"arg0\":1,\"arg1\":3,"
-      "\"shard\":0}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -397,31 +326,37 @@ TEST(FlightRecorderTest, CommittedTransactionTraceSequence) {
   std::memset(base + 4096, 0xCD, 32);
   ASSERT_TRUE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
 
-  // The exact event sequence for a fresh log and one flush-mode commit.
-  std::vector<TraceEvent> events = (*rvm)->DumpTrace();
-  std::vector<TraceEventType> expected = {
-      TraceEventType::kRecoveryScan,  // Initialize scans the (empty) log
-      TraceEventType::kTxnBegin,
-      TraceEventType::kSetRange,
-      TraceEventType::kSetRange,
-      TraceEventType::kAppend,     // one spool record for the transaction
-      TraceEventType::kForce,      // the commit's log force
-      TraceEventType::kCommitAck,  // durable
+  // The exact record sequence for a fresh log and one flush-mode commit, in
+  // completion order.
+  std::vector<Span> records = (*rvm)->SpanSnapshot();
+  auto jsonl = (*rvm)->DumpSpansJsonl();
+  ASSERT_TRUE(jsonl.ok()) << jsonl.status().ToString();
+  std::vector<SpanKind> expected = {
+      SpanKind::kRecoveryScan,  // Initialize scans the (empty) log
+      SpanKind::kTxnBegin,
+      SpanKind::kSetRange,
+      SpanKind::kSetRange,
+      SpanKind::kAppend,  // one spool record for the transaction
+      SpanKind::kForce,   // the commit's log force
+      SpanKind::kCommit,  // durable: the commit's root record
   };
-  ASSERT_EQ(events.size(), expected.size()) << (*rvm)->DumpTraceJsonl();
-  uint64_t last_ts = 0;
+  ASSERT_EQ(records.size(), expected.size()) << *jsonl;
+  uint64_t last_end = 0;
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(events[i].type, expected[i]) << "event " << i << ":\n"
-                                           << (*rvm)->DumpTraceJsonl();
-    EXPECT_GT(events[i].timestamp_us, last_ts);  // fake clock: strictly rising
-    last_ts = events[i].timestamp_us;
+    EXPECT_EQ(records[i].kind, expected[i]) << "record " << i << ":\n"
+                                            << *jsonl;
+    EXPECT_GT(records[i].end_us, last_end);  // fake clock: strictly rising
+    last_end = records[i].end_us;
   }
-  // Event arguments carry the transaction id and range lengths.
-  EXPECT_EQ(events[1].arg0, *tid);
-  EXPECT_EQ(events[2].arg0, *tid);
-  EXPECT_EQ(events[2].arg1, 64u);
-  EXPECT_EQ(events[3].arg1, 32u);
-  EXPECT_EQ(events[6].arg0, *tid);
+  // Records carry the transaction id and range lengths; the commit's
+  // append and force link to its root.
+  EXPECT_EQ(records[1].tid, *tid);
+  EXPECT_EQ(records[2].tid, *tid);
+  EXPECT_EQ(records[2].arg, 64u);
+  EXPECT_EQ(records[3].arg, 32u);
+  EXPECT_EQ(records[6].tid, *tid);
+  EXPECT_EQ(records[4].parent_id, records[6].span_id);
+  EXPECT_EQ(records[5].parent_id, records[6].span_id);
 
   // The same commit also populated the phase histograms.
   const RvmStatistics stats = (*rvm)->statistics().Snapshot();
@@ -430,10 +365,11 @@ TEST(FlightRecorderTest, CommittedTransactionTraceSequence) {
   EXPECT_EQ(stats.log_force_us.count(), 1u);
   EXPECT_EQ(stats.commit_fsync_us.count(), 1u);
 
-  // DumpTraceJsonl renders one line per event.
-  std::string jsonl = (*rvm)->DumpTraceJsonl();
-  EXPECT_NE(jsonl.find("\"event\":\"recovery-scan\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"event\":\"commit-ack\""), std::string::npos);
+  // DumpSpansJsonl renders a valid rvm-spans-v1 document, one line per
+  // record.
+  EXPECT_TRUE(ValidateSpansJsonl(*jsonl).ok());
+  EXPECT_NE(jsonl->find("\"kind\":\"recovery-scan\""), std::string::npos);
+  EXPECT_NE(jsonl->find("\"kind\":\"commit\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, TraceDisabledByOption) {
@@ -442,10 +378,12 @@ TEST(FlightRecorderTest, TraceDisabledByOption) {
   RvmOptions options;
   options.env = &env;
   options.log_path = "/log";
-  options.trace_capacity = 0;
+  options.span_ring_capacity = 0;
   auto rvm = RvmInstance::Initialize(options);
   ASSERT_TRUE(rvm.ok());
-  EXPECT_TRUE((*rvm)->DumpTrace().empty());
+  EXPECT_TRUE((*rvm)->SpanSnapshot().empty());
+  EXPECT_EQ((*rvm)->DumpSpansJsonl().status().code(),
+            ErrorCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +432,8 @@ TEST(FlightRecorderTest, PoisonWritesSidecarWithTraceAndReason) {
           .ok());
 
   // It is a valid telemetry document carrying the poison reason and the
-  // trailing trace (which must include the io-error and poison events).
+  // trailing trace: rvm-spans-v1 spans, which must include the io-error and
+  // poison events.
   Status valid = ValidateTelemetryJson(sidecar);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << sidecar;
   auto doc = ParseJson(sidecar);
@@ -507,14 +446,26 @@ TEST(FlightRecorderTest, PoisonWritesSidecarWithTraceAndReason) {
   ASSERT_NE(trace, nullptr);
   ASSERT_TRUE(trace->IsArray());
   ASSERT_FALSE(trace->array.empty());
+  std::string spans =
+      "{\"schema\":\"rvm-spans-v1\",\"source\":\"sidecar\",\"shards\":1}\n";
   bool saw_io_error = false;
   bool saw_poison = false;
   for (const JsonValue& event : trace->array) {
-    const JsonValue* name = event.Find("event");
+    const JsonValue* name = event.Find("kind");
     ASSERT_NE(name, nullptr);
     saw_io_error = saw_io_error || name->string == "io-error";
     saw_poison = saw_poison || name->string == "poison";
   }
+  // Each entry is one rvm-spans-v1 span: re-serialized under a spans
+  // header, the whole trace passes the spans validator.
+  const size_t open = sidecar.find("\"trace\":[") + std::strlen("\"trace\":[");
+  for (size_t at = open; sidecar[at] == '{';) {
+    const size_t end = sidecar.find('}', at) + 1;
+    spans += sidecar.substr(at, end - at) + "\n";
+    at = sidecar[end] == ',' ? end + 1 : end;
+  }
+  Status spans_valid = ValidateSpansJsonl(spans);
+  EXPECT_TRUE(spans_valid.ok()) << spans_valid.ToString() << "\n" << spans;
   EXPECT_TRUE(saw_io_error);
   EXPECT_TRUE(saw_poison);
 

@@ -24,20 +24,22 @@
 //   rvmutl LOG repair                      offline shard repair: recovery
 //                                          over healed shard files + sidecar
 //                                          cleanup
+//   rvmutl LOG trace [--shard=K]           recovery's event ring as an
+//                                          rvm-spans-v1 document
 //   rvmutl explore [options]               crash-schedule exploration of the
 //                                          reference workload (src/check/);
 //                                          --replay=STRING re-runs one
 //                                          schedule deterministically
-//   rvmutl top [options]                   live gauge monitor (DESIGN.md §11)
-//   rvmutl watch [options]                 live OpenMetrics monitor over a
-//                                          scratch workload (DESIGN.md §16);
-//                                          --port=N serves real /metrics and
-//                                          /healthz endpoints, --rules=FILE
-//                                          arms the SLO engine
+//   rvmutl watch [options]                 live monitor over a scratch
+//                                          workload: the OpenMetrics
+//                                          exposition (DESIGN.md §16) or,
+//                                          with --gauges, the gauge table
+//                                          (§11); --port=N serves real
+//                                          /metrics and /healthz endpoints,
+//                                          --rules=FILE arms the SLO engine,
+//                                          --spans=FILE / --chrome=FILE
+//                                          export the span trees (§15)
 //   rvmutl timeline FILE [--shard=K]       validate/render a time-series dump
-//   rvmutl spans [options]                 span-traced scratch workload +
-//                                          rvm-spans-v1 / Chrome trace export
-//                                          (DESIGN.md §15)
 //   rvmutl check-json FILE                 validate a telemetry document
 //                                          against the schema it declares
 //                                          (dispatched via the registry)
@@ -51,14 +53,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -82,6 +87,35 @@ namespace {
 int Usage(std::FILE* out);
 bool ReadFileToString(const std::string& path, std::string* out);
 bool WriteStringToFile(const std::string& path, const std::string& text);
+
+// The VALUE of `arg` when it is "<prefix>VALUE" (prefix ends in '=').
+std::optional<std::string_view> FlagValue(std::string_view arg,
+                                          std::string_view prefix) {
+  if (arg.substr(0, prefix.size()) != prefix) {
+    return std::nullopt;
+  }
+  return arg.substr(prefix.size());
+}
+
+// Strict unsigned parse for flag and argument values: decimal digits only
+// (no sign, blank or suffix), no overflow, and at most `max`, which defaults
+// to the range of T. Prints why on failure; callers exit 2 (bad usage).
+template <typename T>
+bool ParseUnsigned(std::string_view name, std::string_view text, T* out,
+                   uint64_t max = std::numeric_limits<T>::max()) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value > max) {
+    std::fprintf(stderr, "%.*s: expected an integer in [0, %llu], got '%.*s'\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<unsigned long long>(max),
+                 static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
 
 void PrintHex(std::span<const uint8_t> data, uint64_t base_offset) {
   for (size_t row = 0; row < data.size(); row += 16) {
@@ -483,18 +517,19 @@ int CmdStats(const std::string& log_path, int argc, char** argv) {
 }
 
 int CmdTrace(const std::string& log_path, int argc, char** argv) {
-  // Initialize runs recovery, so the trace shows exactly what recovery did
-  // to this log (recovery-scan, recovery-apply, forces) as JSONL.
+  // Initialize runs recovery, so the event ring shows exactly what recovery
+  // did to this log (recovery-scan, recovery-apply, forces), printed as an
+  // rvm-spans-v1 document that `check-json` validates.
   bool shard_filter = false;
   uint32_t shard = 0;
   for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--shard=", 0) == 0) {
+    if (std::optional<std::string_view> v = FlagValue(argv[i], "--shard=")) {
+      if (!ParseUnsigned("--shard", *v, &shard)) {
+        return 2;
+      }
       shard_filter = true;
-      shard =
-          static_cast<uint32_t>(std::stoul(arg.substr(std::strlen("--shard="))));
     } else {
-      std::fprintf(stderr, "unknown trace option: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown trace option: %s\n", argv[i]);
       return 2;
     }
   }
@@ -504,25 +539,24 @@ int CmdTrace(const std::string& log_path, int argc, char** argv) {
   if (shard_count.ok()) {
     options.log_shards = *shard_count;
   }
+  if (shard_filter && shard >= options.log_shards) {
+    std::fprintf(stderr, "--shard=%u out of range (log has %u shard(s))\n",
+                 shard, options.log_shards);
+    return 2;
+  }
   auto rvm = RvmInstance::Initialize(options);
   if (!rvm.ok()) {
     std::fprintf(stderr, "cannot initialize on log %s: %s\n", log_path.c_str(),
                  rvm.status().ToString().c_str());
     return 1;
   }
-  if (!shard_filter) {
-    std::printf("%s", (*rvm)->DumpTraceJsonl().c_str());
-    return 0;
+  std::vector<Span> records = (*rvm)->SpanSnapshot();
+  if (shard_filter) {
+    std::erase_if(records,
+                  [shard](const Span& span) { return span.shard != shard; });
   }
-  if (shard >= options.log_shards) {
-    std::fprintf(stderr, "--shard=%u out of range (log has %u shard(s))\n",
-                 shard, options.log_shards);
-    return 2;
-  }
-  std::vector<TraceEvent> events = (*rvm)->DumpTrace();
-  std::erase_if(events,
-                [shard](const TraceEvent& event) { return event.shard != shard; });
-  std::printf("%s", TraceJsonl(events).c_str());
+  std::printf("%s",
+              SpansJsonl(records, "rvmutl-trace", options.log_shards).c_str());
   return 0;
 }
 
@@ -593,13 +627,13 @@ int CmdTimeline(const std::string& path, int argc, char** argv) {
   bool shard_filter = false;
   uint32_t shard = 0;
   for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--shard=", 0) == 0) {
+    if (std::optional<std::string_view> v = FlagValue(argv[i], "--shard=")) {
+      if (!ParseUnsigned("--shard", *v, &shard)) {
+        return 2;
+      }
       shard_filter = true;
-      shard =
-          static_cast<uint32_t>(std::stoul(arg.substr(std::strlen("--shard="))));
     } else {
-      std::fprintf(stderr, "unknown timeline option: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown timeline option: %s\n", argv[i]);
       return 2;
     }
   }
@@ -720,13 +754,16 @@ int CmdTimeline(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
-// Shared scratch-workload plumbing for the self-contained monitors (`top`
-// and `watch`). Two processes cannot share one RvmInstance, so these
-// commands drive their own: a deliberately small log in a fresh temp dir
-// (truncation stays busy, so the head/queue/utilization gauges visibly move
-// between refreshes), one 64-page region per worker, and a truncation-heavy
-// commit loop — mostly no-flush commits keep the spool gauge nonzero, every
-// 8th commit flushes so the log keeps churning.
+// The `rvmutl watch` scratch workload. Two processes cannot share one
+// RvmInstance, so the monitor drives its own: a deliberately small log in a
+// fresh temp dir (truncation stays busy, so the head/queue/utilization
+// gauges visibly move between refreshes), one 64-page region per worker,
+// and a truncation-heavy commit loop — mostly no-flush commits keep the
+// spool gauge nonzero, every 8th commit flushes so the log keeps churning.
+// On a multi-shard log two more regions land on consecutive (hence
+// distinct) shards, and worker 0 commits every 4th transaction across them,
+// exercising the internal 2PC path (segment ids are assigned in Map order
+// and regions stripe to segment_id % shards, DESIGN.md §12).
 constexpr uint64_t kScratchPage = 4096;
 constexpr uint64_t kScratchRegionPages = 64;
 
@@ -737,6 +774,8 @@ struct ScratchWorkload {
   std::vector<uint8_t*> bases;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> committed{0};
+  std::atomic<int64_t> budget{0};  // commits the workers may still start
+  std::atomic<unsigned> running{0};
   std::vector<std::thread> workers;
 
   ~ScratchWorkload() { StopWorkers(); }
@@ -751,13 +790,13 @@ struct ScratchWorkload {
 };
 
 // Creates the scratch log, opens the instance with the caller's
-// observability knobs (sampler cadence, HTTP port, SLO rules —
-// log_path/log_shards are filled in here, and `export_metrics` points
-// metrics_export_path at <log>.metrics so the sampler tick rewrites the
-// file exposition atomically), maps the regions and launches the workers.
+// observability knobs (log_path/log_shards are filled in here, and
+// metrics_export_path points at <log>.metrics so the sampler tick rewrites
+// the file exposition atomically), maps the regions and launches the
+// workers, which stop after `txns` commits in total (0 = until stopped).
 // Prints the failure and returns nonzero on error.
-int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
-                         bool export_metrics, RestoreMode restore_mode,
+int StartScratchWorkload(unsigned threads, uint32_t shards, uint64_t txns,
+                         RvmOptions options, RestoreMode restore_mode,
                          ScratchWorkload* scratch) {
   char dir_template[] = "/tmp/rvmutl_scratch_XXXXXX";
   char* dir = ::mkdtemp(dir_template);
@@ -767,8 +806,6 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
   }
   scratch->dir = dir;
   scratch->log_path = scratch->dir + "/log";
-  // With --shards=N the scratch instance stripes its regions across N
-  // shards and the monitors show per-shard rows/series.
   Status created = RvmInstance::CreateLog(GetRealEnv(), scratch->log_path,
                                           1 << 20, /*overwrite=*/false, shards);
   if (!created.ok()) {
@@ -777,18 +814,17 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
   }
   options.log_path = scratch->log_path;
   options.log_shards = shards;
-  if (export_metrics) {
-    options.metrics_export_path = scratch->log_path + ".metrics";
-  }
+  options.metrics_export_path = scratch->log_path + ".metrics";
   auto rvm = RvmInstance::Initialize(options);
   if (!rvm.ok()) {
     std::fprintf(stderr, "init: %s\n", rvm.status().ToString().c_str());
     return 1;
   }
   scratch->rvm = std::move(*rvm);
-  for (unsigned worker = 0; worker < threads; ++worker) {
+  const unsigned regions = threads + (shards > 1 ? 2 : 0);
+  for (unsigned r = 0; r < regions; ++r) {
     RegionDescriptor region;
-    region.segment_path = scratch->dir + "/seg" + std::to_string(worker);
+    region.segment_path = scratch->dir + "/seg" + std::to_string(r);
     region.length = kScratchRegionPages * kScratchPage;
     Status mapped = scratch->rvm->Map(region);
     if (!mapped.ok()) {
@@ -797,155 +833,158 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, RvmOptions options,
     }
     scratch->bases.push_back(static_cast<uint8_t*>(region.address));
   }
+  scratch->budget.store(txns == 0 ? std::numeric_limits<int64_t>::max()
+                                  : static_cast<int64_t>(txns));
+  scratch->running.store(threads);
   for (unsigned worker = 0; worker < threads; ++worker) {
-    scratch->workers.emplace_back([scratch, worker, restore_mode] {
-      uint8_t* base = scratch->bases[worker];
-      uint64_t i = 0;
-      while (!scratch->stop.load(std::memory_order_relaxed)) {
+    scratch->workers.emplace_back([scratch, worker, restore_mode, threads] {
+      // One commit; false when the instance refuses (poisoned, the shard
+      // quarantined, or shutting down).
+      auto commit_one = [&](uint64_t i) {
         Transaction txn(*scratch->rvm, restore_mode);
         if (!txn.ok()) {
-          return;  // poisoned or shutting down
+          return false;
         }
-        const uint64_t offset =
-            (i * 257) % (kScratchRegionPages * kScratchPage - 256);
-        if (!txn.SetRange(base + offset, 256).ok()) {
-          return;
+        if (worker == 0 && scratch->bases.size() > threads && i % 4 == 3) {
+          for (unsigned r = threads; r < threads + 2; ++r) {
+            if (!txn.SetRange(scratch->bases[r], 128).ok()) {
+              return false;
+            }
+            std::memset(scratch->bases[r], static_cast<int>(i & 0xFF), 128);
+          }
+        } else {
+          uint8_t* base = scratch->bases[worker];
+          const uint64_t offset =
+              (i * 257) % (kScratchRegionPages * kScratchPage - 256);
+          if (!txn.SetRange(base + offset, 256).ok()) {
+            return false;
+          }
+          std::memset(base + offset, static_cast<int>(i & 0xFF), 256);
         }
-        std::memset(base + offset, static_cast<int>(i & 0xFF), 256);
-        const CommitMode mode =
-            i % 8 == 7 ? CommitMode::kFlush : CommitMode::kNoFlush;
-        if (!txn.Commit(mode).ok()) {
-          return;
-        }
+        return txn.Commit(i % 8 == 7 ? CommitMode::kFlush
+                                     : CommitMode::kNoFlush)
+            .ok();
+      };
+      for (uint64_t i = 0;
+           !scratch->stop.load(std::memory_order_relaxed) &&
+           scratch->budget.fetch_sub(1, std::memory_order_relaxed) > 0 &&
+           commit_one(i);
+           ++i) {
         scratch->committed.fetch_add(1, std::memory_order_relaxed);
-        ++i;
       }
+      scratch->running.fetch_sub(1);
     });
   }
   return 0;
 }
 
-// `rvmutl top`: drive a live workload against a scratch instance and
-// periodically render its gauges — the operator's view of §5's log-space
-// quantities moving.
-int CmdTop(int argc, char** argv) {
-  uint64_t duration_ms = 3000;
-  uint64_t interval_ms = 250;
-  unsigned threads = 2;
-  uint32_t shards = 1;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--duration-ms=", 0) == 0) {
-      duration_ms = std::stoull(arg.substr(std::strlen("--duration-ms=")));
-    } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = std::stoull(arg.substr(std::strlen("--interval-ms=")));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::stoul(arg.substr(std::strlen("--threads="))));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<uint32_t>(
-          std::stoul(arg.substr(std::strlen("--shards="))));
-    } else {
-      std::fprintf(stderr, "unknown top option: %s\n", arg.c_str());
-      return 2;
+// Prints the exposition's series lines matching `filter`, at most `limit`.
+void PrintExposition(const std::string& exposition, const std::string& filter,
+                     uint64_t limit) {
+  size_t shown = 0;
+  size_t matched = 0;
+  for (size_t start = 0; start < exposition.size();) {
+    size_t end = exposition.find('\n', start);
+    if (end == std::string::npos) {
+      end = exposition.size();
+    }
+    const std::string_view line(exposition.data() + start, end - start);
+    start = end + 1;
+    if (line.empty() || line[0] == '#') {
+      continue;  // skip HELP/TYPE/EOF metadata; series lines only
+    }
+    if (!filter.empty() && line.find(filter) == std::string_view::npos) {
+      continue;
+    }
+    ++matched;
+    if (shown < limit) {
+      std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
+      ++shown;
     }
   }
-  if (interval_ms == 0 || threads == 0 || shards == 0) {
-    std::fprintf(stderr, "top: interval, threads and shards must be nonzero\n");
-    return 2;
+  if (matched > shown) {
+    std::printf("... (%zu more series; narrow with --filter=SUBSTR or "
+                "raise --limit=N)\n",
+                matched - shown);
   }
-
-  ScratchWorkload scratch;
-  RvmOptions options;
-  options.sample_capacity = 4096;
-  options.sample_interval_us = interval_ms * 1000;
-  if (int started = StartScratchWorkload(threads, shards, std::move(options),
-                                         /*export_metrics=*/false,
-                                         RestoreMode::kNoRestore, &scratch);
-      started != 0) {
-    return started;
-  }
-
-  Env* env = GetRealEnv();
-  const uint64_t start_us = env->NowMicros();
-  const bool tty = ::isatty(::fileno(stdout)) != 0;
-  uint64_t refreshes = 0;
-  while (env->NowMicros() - start_us < duration_ms * 1000) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    const RvmGauges gauges = scratch.rvm->Introspect();
-    if (tty) {
-      std::printf("\033[2J\033[H");  // clear screen, home cursor
-    }
-    std::printf("rvmutl top — %llu committed, refresh %llu (every %llu ms)\n",
-                static_cast<unsigned long long>(scratch.committed.load()),
-                static_cast<unsigned long long>(++refreshes),
-                static_cast<unsigned long long>(interval_ms));
-    std::printf("%s", FormatGauges(gauges).c_str());
-    std::fflush(stdout);
-  }
-
-  scratch.StopWorkers();
-  Status terminated = scratch.rvm->Terminate();
-  if (!terminated.ok()) {
-    std::fprintf(stderr, "terminate: %s\n", terminated.ToString().c_str());
-    return 1;
-  }
-  std::printf("\ntime series dumped to %s.timeseries.jsonl\n",
-              scratch.log_path.c_str());
-  return 0;
 }
 
-// `rvmutl watch`: the OpenMetrics twin of `top` — same scratch workload,
-// but each refresh renders the instance's live /metrics exposition
-// (DESIGN.md §16) and /healthz verdict instead of the gauge table. With
-// --port=N the instance serves the real HTTP endpoints too (N=0 picks an
-// ephemeral port, printed in the header), so an operator can curl a live
-// /metrics while the workload runs; --rules=FILE arms the SLO engine, and
-// a firing rule flips the health line to 503 in real time. The final
-// exposition is linted with the same validator `check-metrics` uses, so a
-// broken renderer fails the command instead of scrolling past.
+// `rvmutl watch`: drive the scratch workload and periodically render its
+// live state — by default the instance's /metrics exposition (DESIGN.md
+// §16) and /healthz verdict, with --gauges the gauge table (DESIGN.md §11).
+// With --port=N the instance serves the real HTTP endpoints too (N=0 picks
+// an ephemeral port, printed in the header), so an operator can curl a live
+// /metrics while the workload runs; --rules=FILE arms the SLO engine, and a
+// firing rule flips the health line to 503 in real time; --fault-shard=K
+// runs the chaos schedule below. --spans=FILE / --chrome=FILE export the
+// event ring (DESIGN.md §15) as rvm-spans-v1 JSONL / a Chrome trace with
+// every commit's span tree (--sample=N, default 1) and slow-commit outliers
+// (--slow-us=N). --txns=N stops after N commits instead of --duration-ms.
+// The final exposition is linted with the same validator `check-metrics`
+// uses, so a broken renderer fails the command instead of scrolling past.
 int CmdWatch(int argc, char** argv) {
   uint64_t duration_ms = 3000;
   uint64_t interval_ms = 250;
+  uint64_t txns = 0;
   unsigned threads = 2;
   uint32_t shards = 1;
   uint64_t limit = 24;
-  int32_t port = -1;
+  uint16_t port = 0;
   bool port_set = false;
-  int32_t fault_shard = -1;
+  uint32_t fault_shard = 0;
+  bool chaos = false;
   uint64_t fault_after_ms = 0;
+  bool gauges_view = false;
+  uint32_t sample = 1;
+  uint64_t slow_us = 0;
   std::string rules_path;
   std::string filter;
+  std::string spans_path;
+  std::string chrome_path;
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--duration-ms=", 0) == 0) {
-      duration_ms = std::stoull(arg.substr(std::strlen("--duration-ms=")));
-    } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = std::stoull(arg.substr(std::strlen("--interval-ms=")));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::stoul(arg.substr(std::strlen("--threads="))));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<uint32_t>(
-          std::stoul(arg.substr(std::strlen("--shards="))));
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      limit = std::stoull(arg.substr(std::strlen("--limit=")));
-    } else if (arg.rfind("--port=", 0) == 0) {
-      port = static_cast<int32_t>(
-          std::stol(arg.substr(std::strlen("--port="))));
+    const std::string_view arg = argv[i];
+    std::optional<std::string_view> v;
+    bool ok = true;
+    if ((v = FlagValue(arg, "--duration-ms="))) {
+      ok = ParseUnsigned("--duration-ms", *v, &duration_ms);
+    } else if ((v = FlagValue(arg, "--interval-ms="))) {
+      ok = ParseUnsigned("--interval-ms", *v, &interval_ms);
+    } else if ((v = FlagValue(arg, "--txns="))) {
+      ok = ParseUnsigned("--txns", *v, &txns,
+                         std::numeric_limits<int64_t>::max());
+    } else if ((v = FlagValue(arg, "--threads="))) {
+      ok = ParseUnsigned("--threads", *v, &threads);
+    } else if ((v = FlagValue(arg, "--shards="))) {
+      ok = ParseUnsigned("--shards", *v, &shards, kMaxLogShards);
+    } else if ((v = FlagValue(arg, "--limit="))) {
+      ok = ParseUnsigned("--limit", *v, &limit);
+    } else if ((v = FlagValue(arg, "--port="))) {
+      ok = ParseUnsigned("--port", *v, &port);
       port_set = true;
-    } else if (arg.rfind("--fault-shard=", 0) == 0) {
-      fault_shard = static_cast<int32_t>(
-          std::stol(arg.substr(std::strlen("--fault-shard="))));
-    } else if (arg.rfind("--fault-after-ms=", 0) == 0) {
-      fault_after_ms =
-          std::stoull(arg.substr(std::strlen("--fault-after-ms=")));
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      rules_path = arg.substr(std::strlen("--rules="));
-    } else if (arg.rfind("--filter=", 0) == 0) {
-      filter = arg.substr(std::strlen("--filter="));
+    } else if ((v = FlagValue(arg, "--fault-shard="))) {
+      ok = ParseUnsigned("--fault-shard", *v, &fault_shard);
+      chaos = true;
+    } else if ((v = FlagValue(arg, "--fault-after-ms="))) {
+      ok = ParseUnsigned("--fault-after-ms", *v, &fault_after_ms);
+    } else if ((v = FlagValue(arg, "--sample="))) {
+      ok = ParseUnsigned("--sample", *v, &sample);
+    } else if ((v = FlagValue(arg, "--slow-us="))) {
+      ok = ParseUnsigned("--slow-us", *v, &slow_us);
+    } else if ((v = FlagValue(arg, "--rules="))) {
+      rules_path = *v;
+    } else if ((v = FlagValue(arg, "--filter="))) {
+      filter = *v;
+    } else if ((v = FlagValue(arg, "--spans="))) {
+      spans_path = *v;
+    } else if ((v = FlagValue(arg, "--chrome="))) {
+      chrome_path = *v;
+    } else if (arg == "--gauges") {
+      gauges_view = true;
     } else {
-      std::fprintf(stderr, "unknown watch option: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown watch option: %s\n", argv[i]);
+      return 2;
+    }
+    if (!ok) {
       return 2;
     }
   }
@@ -954,18 +993,24 @@ int CmdWatch(int argc, char** argv) {
                  "watch: interval, threads and shards must be nonzero\n");
     return 2;
   }
-  if (fault_shard >= 0 &&
-      (shards < 2 || static_cast<uint32_t>(fault_shard) >= shards)) {
+  if (chaos && (shards < 2 || fault_shard >= shards)) {
     std::fprintf(stderr,
                  "watch: --fault-shard needs --shards >= 2 and a shard index "
                  "below the count (fault containment is per shard)\n");
     return 2;
   }
-  if (fault_shard >= 0 && port_set) {
+  if (chaos && port_set) {
     // The HTTP listener is gated to the unwrapped real env; chaos mode runs
     // on a fault-injection wrapper, so the two are mutually exclusive.
     std::fprintf(stderr,
                  "watch: --fault-shard and --port cannot be combined\n");
+    return 2;
+  }
+  const bool export_spans = !spans_path.empty() || !chrome_path.empty();
+  if (export_spans && sample == 0 && slow_us == 0) {
+    std::fprintf(stderr,
+                 "watch: span export needs --sample=N or --slow-us=N (both 0 "
+                 "materializes no span trees)\n");
     return 2;
   }
   if (fault_after_ms == 0) {
@@ -988,17 +1033,22 @@ int CmdWatch(int argc, char** argv) {
   if (port_set) {
     options.metrics_http_port = port;
   }
-  if (fault_shard >= 0) {
+  if (chaos) {
     options.env = &fault_env;
+  }
+  if (export_spans) {
+    options.span_sample_rate = sample;
+    options.slow_commit_threshold_us = slow_us;
+    options.span_ring_capacity = 1 << 16;
   }
   // Chaos mode needs restore transactions: a failed no-restore commit has no
   // old values to roll back and poisons the whole instance (rvm.cc), whereas
   // a failed restore commit is contained to a shard quarantine — the arc the
   // chaos run exists to record.
   const RestoreMode restore_mode =
-      fault_shard >= 0 ? RestoreMode::kRestore : RestoreMode::kNoRestore;
-  if (int started = StartScratchWorkload(threads, shards, std::move(options),
-                                         /*export_metrics=*/true, restore_mode,
+      chaos ? RestoreMode::kRestore : RestoreMode::kNoRestore;
+  if (int started = StartScratchWorkload(threads, shards, txns,
+                                         std::move(options), restore_mode,
                                          &scratch);
       started != 0) {
     return started;
@@ -1020,16 +1070,16 @@ int CmdWatch(int argc, char** argv) {
   bool fault_injected = false;
   bool fault_repaired = false;
   std::string chaos_note;
-  while (env->NowMicros() - start_us < duration_ms * 1000) {
+  while (txns > 0 ? scratch.running.load() > 0
+                  : env->NowMicros() - start_us < duration_ms * 1000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     const uint64_t elapsed_ms = (env->NowMicros() - start_us) / 1000;
-    if (fault_shard >= 0 && !fault_injected && elapsed_ms >= fault_after_ms) {
+    if (chaos && !fault_injected && elapsed_ms >= fault_after_ms) {
       FaultSpec spec;
       spec.op = FaultOp::kWriteAt;
       spec.sticky = true;
       spec.message = "chaos: injected by rvmutl watch";
-      spec.path_substring =
-          ShardLogPath(scratch.log_path, static_cast<uint32_t>(fault_shard));
+      spec.path_substring = ShardLogPath(scratch.log_path, fault_shard);
       fault_env.InjectFault(spec);
       fault_injected = true;
       chaos_note = "chaos: sticky write fault on shard " +
@@ -1037,17 +1087,13 @@ int CmdWatch(int argc, char** argv) {
     }
     if (fault_injected && !fault_repaired && elapsed_ms >= heal_after_ms) {
       fault_env.ClearFaults();
-      Status repaired =
-          scratch.rvm->RepairShard(static_cast<uint32_t>(fault_shard));
+      Status repaired = scratch.rvm->RepairShard(fault_shard);
       fault_repaired = true;
       chaos_note = "chaos: fault cleared, RepairShard(" +
                    std::to_string(fault_shard) + ") -> " +
                    (repaired.ok() ? std::string("ok") : repaired.ToString()) +
                    "\n";
     }
-    const std::string exposition = scratch.rvm->RenderMetrics();
-    std::string health_body;
-    const int health = scratch.rvm->Healthz(&health_body);
     if (tty) {
       std::printf("\033[2J\033[H");  // clear screen, home cursor
     }
@@ -1059,35 +1105,14 @@ int CmdWatch(int argc, char** argv) {
       std::printf(" — http://127.0.0.1:%d/metrics",
                   scratch.rvm->metrics_port());
     }
-    std::printf("\nhealthz %d %s", health, health_body.c_str());
-    if (!chaos_note.empty()) {
-      std::printf("%s", chaos_note.c_str());
-    }
-    size_t shown = 0;
-    size_t matched = 0;
-    for (size_t start = 0; start < exposition.size();) {
-      size_t end = exposition.find('\n', start);
-      if (end == std::string::npos) {
-        end = exposition.size();
-      }
-      const std::string_view line(exposition.data() + start, end - start);
-      start = end + 1;
-      if (line.empty() || line[0] == '#') {
-        continue;  // skip HELP/TYPE/EOF metadata; series lines only
-      }
-      if (!filter.empty() && line.find(filter) == std::string_view::npos) {
-        continue;
-      }
-      ++matched;
-      if (shown < limit) {
-        std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
-        ++shown;
-      }
-    }
-    if (matched > shown) {
-      std::printf("... (%zu more series; narrow with --filter=SUBSTR or "
-                  "raise --limit=N)\n",
-                  matched - shown);
+    std::printf("\n%s", chaos_note.c_str());
+    if (gauges_view) {
+      std::printf("%s", FormatGauges(scratch.rvm->Introspect()).c_str());
+    } else {
+      std::string health_body;
+      const int health = scratch.rvm->Healthz(&health_body);
+      std::printf("healthz %d %s", health, health_body.c_str());
+      PrintExposition(scratch.rvm->RenderMetrics(), filter, limit);
     }
     std::fflush(stdout);
   }
@@ -1095,6 +1120,33 @@ int CmdWatch(int argc, char** argv) {
   scratch.StopWorkers();
   const std::string final_exposition = scratch.rvm->RenderMetrics();
   Status lint = ValidateOpenMetrics(final_exposition);
+  if (export_spans) {
+    const RvmGauges gauges = scratch.rvm->Introspect();
+    const StatusOr<std::string> jsonl = scratch.rvm->DumpSpansJsonl();
+    const StatusOr<std::string> chrome = scratch.rvm->DumpSpansChromeTrace();
+    if (!jsonl.ok() || !chrome.ok()) {
+      std::fprintf(stderr, "spans: %s\n",
+                   (jsonl.ok() ? chrome.status() : jsonl.status())
+                       .ToString()
+                       .c_str());
+      return 1;
+    }
+    if ((!spans_path.empty() && !WriteStringToFile(spans_path, *jsonl)) ||
+        (!chrome_path.empty() && !WriteStringToFile(chrome_path, *chrome))) {
+      return 1;
+    }
+    std::printf("\nrecorded %llu span(s) (%llu dropped), %llu slow commit(s)",
+                static_cast<unsigned long long>(gauges.spans_recorded),
+                static_cast<unsigned long long>(gauges.spans_dropped),
+                static_cast<unsigned long long>(gauges.slow_commits));
+    if (!spans_path.empty()) {
+      std::printf("; spans: %s", spans_path.c_str());
+    }
+    if (!chrome_path.empty()) {
+      std::printf("; chrome trace: %s", chrome_path.c_str());
+    }
+    std::printf("\n");
+  }
   Status terminated = scratch.rvm->Terminate();
   if (!terminated.ok()) {
     std::fprintf(stderr, "terminate: %s\n", terminated.ToString().c_str());
@@ -1107,7 +1159,9 @@ int CmdWatch(int argc, char** argv) {
   if (!WriteStringToFile(metrics_path, final_exposition)) {
     return 1;
   }
-  std::printf("\nexposition lint OK (%zu bytes)\n", final_exposition.size());
+  std::printf("\n%llu committed; exposition lint OK (%zu bytes)\n",
+              static_cast<unsigned long long>(scratch.committed.load()),
+              final_exposition.size());
   std::printf("metrics exported to %s\n", metrics_path.c_str());
   std::printf("time series dumped to %s.timeseries.jsonl\n",
               scratch.log_path.c_str());
@@ -1279,175 +1333,6 @@ bool WriteStringToFile(const std::string& path, const std::string& text) {
   std::fputs(text.c_str(), out);
   std::fclose(out);
   return true;
-}
-
-// `rvmutl spans`: drive a scratch workload with span tracing enabled and
-// export the captured spans — rvm-spans-v1 JSONL via --out, Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing, one track per
-// shard, 2PC flow arrows) via --chrome. With --shards=N > 1 a slice of the
-// transactions span two regions on different shards, so the export shows
-// the cross-shard 2PC prepare/decision spans correlated by tid.
-int CmdSpans(int argc, char** argv) {
-  uint64_t txns = 200;
-  unsigned threads = 2;
-  uint32_t shards = 1;
-  uint32_t sample = 1;
-  uint64_t slow_us = 0;
-  std::string out_path;
-  std::string chrome_path;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--txns=", 0) == 0) {
-      txns = std::stoull(arg.substr(std::strlen("--txns=")));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::stoul(arg.substr(std::strlen("--threads="))));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = static_cast<uint32_t>(
-          std::stoul(arg.substr(std::strlen("--shards="))));
-    } else if (arg.rfind("--sample=", 0) == 0) {
-      sample = static_cast<uint32_t>(
-          std::stoul(arg.substr(std::strlen("--sample="))));
-    } else if (arg.rfind("--slow-us=", 0) == 0) {
-      slow_us = std::stoull(arg.substr(std::strlen("--slow-us=")));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--chrome=", 0) == 0) {
-      chrome_path = arg.substr(std::strlen("--chrome="));
-    } else {
-      std::fprintf(stderr, "unknown spans option: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (threads == 0 || shards == 0) {
-    std::fprintf(stderr, "spans: threads and shards must be nonzero\n");
-    return 2;
-  }
-  if (sample == 0 && slow_us == 0) {
-    std::fprintf(stderr,
-                 "spans: need --sample=N or --slow-us=N (both 0 disables the "
-                 "span layer)\n");
-    return 2;
-  }
-
-  char dir_template[] = "/tmp/rvmutl_spans_XXXXXX";
-  char* dir = ::mkdtemp(dir_template);
-  if (dir == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
-  const std::string log_path = std::string(dir) + "/log";
-  Status created =
-      RvmInstance::CreateLog(GetRealEnv(), log_path, 4 << 20,
-                             /*overwrite=*/false, shards);
-  if (!created.ok()) {
-    std::fprintf(stderr, "create: %s\n", created.ToString().c_str());
-    return 1;
-  }
-  RvmOptions options;
-  options.log_path = log_path;
-  options.log_shards = shards;
-  options.span_sample_rate = sample;
-  options.slow_commit_threshold_us = slow_us;
-  options.span_ring_capacity = 1 << 16;
-  auto rvm = RvmInstance::Initialize(options);
-  if (!rvm.ok()) {
-    std::fprintf(stderr, "init: %s\n", rvm.status().ToString().c_str());
-    return 1;
-  }
-
-  constexpr uint64_t kPage = 4096;
-  constexpr uint64_t kRegionPages = 16;
-  // One region per worker, plus — multi-shard only — two regions that land
-  // on consecutive (hence distinct) shards for cross-shard transactions.
-  // Segment ids are assigned in Map order, and regions stripe to
-  // segment_id % shards (DESIGN.md §12).
-  const unsigned regions = threads + (shards > 1 ? 2 : 0);
-  std::vector<uint8_t*> bases;
-  for (unsigned r = 0; r < regions; ++r) {
-    RegionDescriptor region;
-    region.segment_path = std::string(dir) + "/seg" + std::to_string(r);
-    region.length = kRegionPages * kPage;
-    Status mapped = (*rvm)->Map(region);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "map: %s\n", mapped.ToString().c_str());
-      return 1;
-    }
-    bases.push_back(static_cast<uint8_t*>(region.address));
-  }
-
-  std::atomic<int64_t> remaining{static_cast<int64_t>(txns)};
-  std::vector<std::thread> workers;
-  for (unsigned worker = 0; worker < threads; ++worker) {
-    workers.emplace_back([&, worker] {
-      uint8_t* base = bases[worker];
-      uint64_t i = 0;
-      while (remaining.fetch_sub(1, std::memory_order_relaxed) > 0) {
-        Transaction txn(**rvm, RestoreMode::kNoRestore);
-        if (!txn.ok()) {
-          return;
-        }
-        // Worker 0 commits every 4th transaction across the two dedicated
-        // cross-shard regions, exercising the internal 2PC path.
-        if (shards > 1 && worker == 0 && i % 4 == 3) {
-          if (!txn.SetRange(bases[threads], 128).ok() ||
-              !txn.SetRange(bases[threads + 1], 128).ok()) {
-            return;
-          }
-          std::memset(bases[threads], static_cast<int>(i & 0xFF), 128);
-          std::memset(bases[threads + 1], static_cast<int>(i & 0xFF), 128);
-        } else {
-          const uint64_t offset = (i * 257) % (kRegionPages * kPage - 256);
-          if (!txn.SetRange(base + offset, 256).ok()) {
-            return;
-          }
-          std::memset(base + offset, static_cast<int>(i & 0xFF), 256);
-        }
-        if (!txn.Commit(CommitMode::kFlush).ok()) {
-          return;
-        }
-        ++i;
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-
-  const RvmGauges gauges = (*rvm)->Introspect();
-  auto jsonl = (*rvm)->DumpSpansJsonl();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "spans: %s\n", jsonl.status().ToString().c_str());
-    return 1;
-  }
-  if (!WriteStringToFile(out_path, *jsonl)) {
-    return 1;
-  }
-  if (!chrome_path.empty()) {
-    auto chrome = (*rvm)->DumpSpansChromeTrace();
-    if (!chrome.ok()) {
-      std::fprintf(stderr, "spans: %s\n", chrome.status().ToString().c_str());
-      return 1;
-    }
-    if (!WriteStringToFile(chrome_path, *chrome)) {
-      return 1;
-    }
-  }
-  Status terminated = (*rvm)->Terminate();
-  if (!terminated.ok()) {
-    std::fprintf(stderr, "terminate: %s\n", terminated.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "recorded %llu span(s) (%llu dropped), %llu slow commit(s)%s%s"
-               "%s%s\n",
-               static_cast<unsigned long long>(gauges.spans_recorded),
-               static_cast<unsigned long long>(gauges.spans_dropped),
-               static_cast<unsigned long long>(gauges.slow_commits),
-               out_path.empty() ? "" : "; spans: ", out_path.c_str(),
-               chrome_path.empty() ? "" : "; chrome trace: ",
-               chrome_path.c_str());
-  return 0;
 }
 
 // Reads a whole file into a string; empty optional-style return via the
@@ -1798,30 +1683,25 @@ int CmdExplore(int argc, char** argv) {
   std::string out_path;
   bool verbose = false;
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    const char* v = nullptr;
-    if ((v = value("--replay="))) {
-      replay = v;
-    } else if ((v = value("--out="))) {
-      out_path = v;
-    } else if ((v = value("--txns="))) {
-      workload.total_txns = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--flush-every="))) {
-      workload.flush_every = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--shards="))) {
-      workload.log_shards =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if ((v = value("--regions="))) {
-      workload.regions = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--fault-shard="))) {
-      workload.fault_shard =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if ((v = value("--fault-at="))) {
-      workload.fault_at_txn = std::strtoull(v, nullptr, 10);
+    const std::string_view arg = argv[i];
+    std::optional<std::string_view> v;
+    bool ok = true;
+    if ((v = FlagValue(arg, "--replay="))) {
+      replay = *v;
+    } else if ((v = FlagValue(arg, "--out="))) {
+      out_path = *v;
+    } else if ((v = FlagValue(arg, "--txns="))) {
+      ok = ParseUnsigned("--txns", *v, &workload.total_txns);
+    } else if ((v = FlagValue(arg, "--flush-every="))) {
+      ok = ParseUnsigned("--flush-every", *v, &workload.flush_every);
+    } else if ((v = FlagValue(arg, "--shards="))) {
+      ok = ParseUnsigned("--shards", *v, &workload.log_shards);
+    } else if ((v = FlagValue(arg, "--regions="))) {
+      ok = ParseUnsigned("--regions", *v, &workload.regions);
+    } else if ((v = FlagValue(arg, "--fault-shard="))) {
+      ok = ParseUnsigned("--fault-shard", *v, &workload.fault_shard);
+    } else if ((v = FlagValue(arg, "--fault-at="))) {
+      ok = ParseUnsigned("--fault-at", *v, &workload.fault_at_txn);
     } else if (arg == "--epoch") {
       workload.use_incremental_truncation = false;
     } else if (arg == "--spans") {
@@ -1830,22 +1710,23 @@ int CmdExplore(int argc, char** argv) {
       // Sweeps must be schedule-identical to the same sweep without it.
       workload.span_sample_rate = 1;
       workload.slow_commit_threshold_us = 1;
-    } else if ((v = value("--depth="))) {
-      limits.max_depth = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--forward-stride="))) {
-      limits.forward_stride = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--recovery-stride="))) {
-      limits.recovery_stride = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--max-schedules="))) {
-      limits.max_schedules = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--subset-seeds="))) {
+    } else if ((v = FlagValue(arg, "--depth="))) {
+      ok = ParseUnsigned("--depth", *v, &limits.max_depth);
+    } else if ((v = FlagValue(arg, "--forward-stride="))) {
+      ok = ParseUnsigned("--forward-stride", *v, &limits.forward_stride);
+    } else if ((v = FlagValue(arg, "--recovery-stride="))) {
+      ok = ParseUnsigned("--recovery-stride", *v, &limits.recovery_stride);
+    } else if ((v = FlagValue(arg, "--max-schedules="))) {
+      ok = ParseUnsigned("--max-schedules", *v, &limits.max_schedules);
+    } else if ((v = FlagValue(arg, "--subset-seeds="))) {
       // Comma-separated seeds, applied at both forward and recovery points.
-      for (const char* p = v; *p != '\0';) {
+      const std::string seeds(*v);
+      for (const char* p = seeds.c_str(); *p != '\0';) {
         char* end = nullptr;
         uint64_t seed = std::strtoull(p, &end, 10);
         if (end == p || seed == 0) {
           std::fprintf(stderr, "bad --subset-seeds value (nonzero comma-"
-                       "separated integers): %s\n", v);
+                       "separated integers): %s\n", seeds.c_str());
           return 2;
         }
         limits.forward_subset_seeds.push_back(seed);
@@ -1855,7 +1736,10 @@ int CmdExplore(int argc, char** argv) {
     } else if (arg == "-v" || arg == "--verbose") {
       verbose = true;
     } else {
-      std::fprintf(stderr, "unknown explore option: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown explore option: %s\n", argv[i]);
+      return 2;
+    }
+    if (!ok) {
       return 2;
     }
   }
@@ -1993,7 +1877,10 @@ int RunSegments(const std::string& log_path, int, char**) {
 }
 
 int RunRecords(const std::string& log_path, int argc, char** argv) {
-  const uint64_t limit = argc > 3 ? std::stoull(argv[3]) : 20;
+  uint64_t limit = 20;
+  if (argc > 3 && !ParseUnsigned("N", argv[3], &limit)) {
+    return 2;
+  }
   return WithShardDevices(log_path, [&](auto& logs) {
     return ForEachShard(
         logs, [&](LogDevice& log) { return CmdRecords(log, limit); });
@@ -2007,8 +1894,12 @@ int RunHistory(const std::string& log_path, int argc, char** argv) {
   // A segment's records live on exactly one shard (static striping); the
   // other shards simply contribute no history lines.
   const std::string segment = argv[3];
-  const uint64_t offset = std::stoull(argv[4]);
-  const uint64_t length = std::stoull(argv[5]);
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  if (!ParseUnsigned("OFFSET", argv[4], &offset) ||
+      !ParseUnsigned("LEN", argv[5], &length)) {
+    return 2;
+  }
   return WithShardDevices(log_path, [&](auto& logs) {
     return ForEachShard(logs, [&](LogDevice& log) {
       return CmdHistory(log, segment, offset, length);
@@ -2061,16 +1952,8 @@ int RunExplore(const std::string&, int argc, char** argv) {
   return CmdExplore(argc, argv);
 }
 
-int RunTop(const std::string&, int argc, char** argv) {
-  return CmdTop(argc, argv);
-}
-
 int RunWatch(const std::string&, int argc, char** argv) {
   return CmdWatch(argc, argv);
-}
-
-int RunSpans(const std::string&, int argc, char** argv) {
-  return CmdSpans(argc, argv);
 }
 
 int RunSlo(const std::string&, int argc, char** argv) {
@@ -2133,8 +2016,9 @@ constexpr CommandSpec kCommands[] = {
      "emits the rvm-telemetry-v1 schema)",
      RunStats},
     {"trace", true, "[--shard=K]",
-     "run recovery, dump the trace ring as JSONL\n"
-     "(one event per line; --shard=K keeps shard K)",
+     "run recovery, dump the event ring as an\n"
+     "rvm-spans-v1 document (one record per line;\n"
+     "--shard=K keeps shard K)",
      RunTrace},
     {"health", true, "[--json[=FILE]]",
      "offline per-shard fault-domain probe; exit =\n"
@@ -2157,28 +2041,23 @@ constexpr CommandSpec kCommands[] = {
      "--max-schedules=N --out=FILE -v\n"
      "--replay=STRING (re-run one schedule)",
      RunExplore},
-    {"top", false, "[options]",
-     "live gauge monitor over a scratch workload;\n"
-     "--duration-ms=N --interval-ms=N --threads=N\n"
-     "--shards=N (per-shard gauge rows)",
-     RunTop},
     {"watch", false, "[options]",
-     "live OpenMetrics monitor over a scratch\n"
-     "workload (DESIGN.md §16); --duration-ms=N\n"
-     "--interval-ms=N --threads=N --shards=N\n"
+     "live monitor over a scratch workload: the\n"
+     "OpenMetrics exposition (DESIGN.md §16), or\n"
+     "with --gauges the gauge table (§11);\n"
+     "--duration-ms=N or --txns=N (stop after N\n"
+     "commits) --interval-ms=N --threads=N\n"
+     "--shards=N (adds cross-shard 2PC commits)\n"
      "--limit=N --filter=SUBSTR --port=N (serve\n"
      "/metrics + /healthz; 0 picks an ephemeral\n"
      "port) --rules=FILE (arm the SLO engine)\n"
      "--fault-shard=K --fault-after-ms=N (chaos:\n"
-     "quarantine shard K mid-run, then repair it)",
+     "quarantine shard K mid-run, then repair it)\n"
+     "--spans=FILE (rvm-spans-v1 JSONL)\n"
+     "--chrome=FILE (Chrome trace for Perfetto)\n"
+     "--sample=N (1-in-N commit trees, default 1)\n"
+     "--slow-us=N (slow-commit outliers)",
      RunWatch},
-    {"spans", false, "[options]",
-     "span-traced scratch workload + export;\n"
-     "--txns=N --threads=N --shards=N --sample=N\n"
-     "(1-in-N tid sampling) --slow-us=N (outliers)\n"
-     "--out=FILE (rvm-spans-v1 JSONL) --chrome=FILE\n"
-     "(Chrome trace JSON for Perfetto)",
-     RunSpans},
     {"timeline", false, "FILE [--shard=K]",
      "validate and render an rvm-timeseries-v2 dump\n"
      "(exit codes like check-json; --shard=K renders\n"
