@@ -135,6 +135,58 @@ TEST_F(ConcurrencyTest, BackgroundTruncationKeepsLogBounded) {
   EXPECT_EQ(data[15 * kPage], 399 & 0xFF);
 }
 
+TEST_F(ConcurrencyTest, WriteBlockedHeadPageDoesNotStallCommits) {
+  // An open transaction pins the head page of the truncation queue while the
+  // log sits past threshold but below the epoch-fallback fraction. The
+  // background thread can do nothing until that transaction commits, and
+  // the commit needs the lock: the thread must wait with the lock released,
+  // not spin holding it.
+  Open(TruncationMode::kBackground, kLogDataStart + 128 * 1024);
+  RegionDescriptor region;
+  region.segment_path = "/pinseg";
+  region.length = 4 * kPage;
+  ASSERT_TRUE(rvm_->Map(region).ok());
+  auto* base = static_cast<uint8_t*>(region.address);
+
+  Transaction pinning(*rvm_);
+  ASSERT_TRUE(pinning.ok());
+  ASSERT_TRUE(pinning.SetRange(base, 8).ok());
+  const RuntimeOptions runtime = rvm_->GetOptions();
+  const auto past_threshold = static_cast<uint64_t>(
+      (runtime.truncation_threshold + 0.1) *
+      static_cast<double>(rvm_->log_capacity()));
+  for (int i = 0; rvm_->log_bytes_in_use() < past_threshold; ++i) {
+    Transaction txn(*rvm_);
+    ASSERT_TRUE(txn.SetRange(base + 1024, 1024).ok());
+    std::memset(base + 1024, i & 0xFF, 1024);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  // Longer than the thread's idle timeout, so it runs at least one pass
+  // against the write-blocked head page before the commits below.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  Transaction more(*rvm_);
+  ASSERT_TRUE(more.SetRange(base + kPage, 64).ok());
+  ASSERT_TRUE(more.Commit().ok());
+  base[0] = 0x5A;
+  ASSERT_TRUE(pinning.Commit().ok());
+
+  // Unpinned, the next kick lets the thread bring the log back down.
+  const auto threshold = static_cast<uint64_t>(
+      runtime.truncation_threshold *
+      static_cast<double>(rvm_->log_capacity()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rvm_->log_bytes_in_use() > threshold &&
+         std::chrono::steady_clock::now() < deadline) {
+    Transaction kick(*rvm_);
+    ASSERT_TRUE(kick.SetRange(base + 2 * kPage, 64).ok());
+    ASSERT_TRUE(kick.Commit().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(rvm_->log_bytes_in_use(), threshold);
+  ASSERT_TRUE(rvm_->Terminate().ok());
+}
+
 TEST_F(ConcurrencyTest, BackgroundEpochTruncationAlsoWorks) {
   Open(TruncationMode::kBackground, kLogDataStart + 128 * 1024);
   RuntimeOptions runtime = rvm_->GetOptions();
