@@ -107,7 +107,7 @@ StatusOr<std::vector<uint8_t>> ReadWholeFile(File& file);
 
 // Writes `content` to `path` via a "<path>.tmp" sibling plus Rename, so a
 // concurrent reader sees either the previous complete file or the new one —
-// never a prefix. The sampler tick uses this for the metrics exposition file.
+// never a prefix. The monitor tick uses this for the metrics exposition file.
 Status WriteFileAtomic(Env& env, const std::string& path,
                        std::string_view content);
 

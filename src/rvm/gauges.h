@@ -6,7 +6,8 @@
 // truncation could reclaim, queue depths, and per-region page-vector state.
 //
 // Produced by RvmInstance::Introspect() under the staged locks, consumed by
-// the StatsSampler time series, `rvmutl top`, and tests. The flat numeric
+// the monitor's time series and exposition (src/monitor/), `rvmutl watch`,
+// and tests. The flat numeric
 // JSON rendering (GaugesJson) is the "gauges" member of every
 // rvm-timeseries-v2 sample line.
 #ifndef RVM_RVM_GAUGES_H_

@@ -3,8 +3,6 @@
 // naming the field, not misbehave (or divide by zero) mid-commit.
 #include "src/rvm/options.h"
 
-#include "src/telemetry/slo.h"
-
 namespace rvm {
 
 namespace {
@@ -84,11 +82,6 @@ Status ValidateOptions(const RvmOptions& options) {
   if (options.log_shards > kMaxLogShards) {
     return InvalidArgument("log_shards must be at most kMaxLogShards (64)");
   }
-  if (options.sample_interval_us > 0 && options.sample_capacity == 0) {
-    return InvalidArgument(
-        "sample_interval_us requires sample_capacity > 0 (a sampling thread "
-        "with no ring to record into)");
-  }
   if ((options.span_sample_rate > 0 || options.slow_commit_threshold_us > 0) &&
       options.span_ring_capacity == 0) {
     return InvalidArgument(
@@ -98,26 +91,6 @@ Status ValidateOptions(const RvmOptions& options) {
   // A million records per shard is a unit error, not a configuration.
   if (options.span_ring_capacity > (1ull << 20)) {
     return InvalidArgument("span_ring_capacity must be at most 2^20");
-  }
-  if (!options.metrics_export_path.empty() && options.sample_capacity == 0) {
-    return InvalidArgument(
-        "metrics_export_path requires sample_capacity > 0 (the exposition "
-        "file is rewritten on the sampler tick)");
-  }
-  if (options.metrics_http_port > 65535) {
-    return InvalidArgument("metrics_http_port must be at most 65535");
-  }
-  if (options.metrics_http_port >= 0 && options.env != nullptr &&
-      options.env != GetRealEnv()) {
-    return InvalidArgument(
-        "metrics_http_port requires the real environment (simulated envs "
-        "must use metrics_export_path for exposition)");
-  }
-  if (!options.slo_rules.empty()) {
-    StatusOr<std::vector<SloRule>> rules = ParseSloRules(options.slo_rules);
-    if (!rules.ok()) {
-      return rules.status();
-    }
   }
   return ValidateRuntimeOptions(options.runtime);
 }

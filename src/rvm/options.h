@@ -121,27 +121,16 @@ struct RvmOptions {
 
   // Telemetry (DESIGN.md §10, §15). Every event — txn begin, set_range,
   // append, force, commit, truncation, recovery, io-error/poison, scrub,
-  // repair, SLO transitions — is one record in a lock-free ring per log
-  // shard holding the newest `span_ring_capacity` records; 0 disables the
-  // ring (no records, no clock reads for them). Each slot is 64 bytes, so
-  // the default costs 64 KiB per shard and keeps a few hundred
-  // transactions of flight-recorder context.
+  // repair — is one record in a lock-free ring per log shard holding the
+  // newest `span_ring_capacity` records; 0 disables the ring (no records,
+  // no clock reads for them). Each slot is 64 bytes, so the default costs
+  // 64 KiB per shard and keeps a few hundred transactions of
+  // flight-recorder context. Time series, metrics export and SLO rules are
+  // not options: they live in RvmMonitor (src/monitor/), a layer above.
   uint64_t span_ring_capacity = 1024;
   // When the instance poisons, dump the flight recorder (newest ring
   // records plus a full statistics snapshot) to "<log_path>.poison.json".
   bool enable_poison_dump = true;
-
-  // Continuous observability (DESIGN.md §11). sample_capacity bounds the
-  // StatsSampler's ring of gauge+counter samples; 0 disables sampling
-  // entirely (no ring, no dumps). sample_interval_us is the background
-  // sampling thread's period; 0 means no thread — samples are taken only by
-  // explicit SampleNow() calls (the mode for simulated environments, whose
-  // clock does not advance with wall time). When sampling is enabled, the
-  // ring is flushed as an "rvm-timeseries-v2" JSONL document to
-  // "<log_path>.timeseries.jsonl" on Terminate and (best-effort) on poison,
-  // and on demand via DumpTimeseries(path).
-  uint64_t sample_interval_us = 0;
-  uint64_t sample_capacity = 0;
 
   // Per-transaction span trees (DESIGN.md §15). Every commit records its
   // root; these two policies decide only whether its phase children are
@@ -152,26 +141,6 @@ struct RvmOptions {
   // the ring (span_ring_capacity > 0).
   uint32_t span_sample_rate = 0;
   uint64_t slow_commit_threshold_us = 0;
-
-  // Live metrics export and health (DESIGN.md §16). When nonempty, every
-  // sampler tick additionally renders the full OpenMetrics exposition
-  // (counters, gauges, histograms — the same text a /metrics scrape returns)
-  // and rewrites this file atomically (temp file + rename), so a scraper or
-  // test reading it always sees a complete document. Requires sampling to be
-  // enabled (sample_capacity > 0): the exposition rides the sampler tick.
-  std::string metrics_export_path;
-  // TCP port for the embedded HTTP listener serving GET /metrics and
-  // GET /healthz from the live instance. -1 disables the listener; 0 binds
-  // an ephemeral port (tests and CI; read it back via metrics_port()).
-  // Real sockets require the real environment: simulated envs must use
-  // metrics_export_path instead, and ValidateOptions enforces that.
-  int32_t metrics_http_port = -1;
-  // Declarative SLO rules evaluated on every sampler tick (grammar in
-  // src/telemetry/slo.h): e.g. "rule p99 commit_p99_us > 50000 for=3".
-  // Firing/resolved transitions land in the event ring, flip /healthz to
-  // 503/200, and the live rule state is embedded in the poison sidecar.
-  // Empty disables the engine. Parsed (and rejected) at Initialize.
-  std::string slo_rules;
 
   // Data-segment integrity (DESIGN.md §14). When enabled, every segment file
   // gains a "<path>.chk" sidecar holding one CRC32 per page, refreshed

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "src/dtx/shard_2pc.h"
-#include "src/rvm/exposition.h"
 #include "src/util/logging.h"
 
 namespace rvm {
@@ -92,21 +91,6 @@ StatusOr<std::unique_ptr<RvmInstance>> RvmInstance::Initialize(
     instance->truncation_thread_ =
         std::thread([raw = instance.get()] { raw->TruncationThreadMain(); });
   }
-  // The sampler thread (if any) starts only after recovery: a sample taken
-  // mid-recovery would show half-applied state under locks recovery holds.
-  if (instance->sampler_ != nullptr) {
-    instance->sampler_->Start();
-  }
-  // The HTTP listener likewise starts only once recovery has produced a
-  // consistent instance; its handlers snapshot through the staged locks.
-  if (resolved.metrics_http_port >= 0) {
-    RVM_ASSIGN_OR_RETURN(
-        instance->http_,
-        HttpServer::Start(static_cast<uint16_t>(resolved.metrics_http_port),
-                          [raw = instance.get()](const HttpRequest& request) {
-                            return raw->HandleHttp(request);
-                          }));
-  }
   return instance;
 }
 
@@ -136,13 +120,6 @@ void RvmInstance::Poison(const Status& cause) {
   RecordEvent(SpanKind::kPoison, static_cast<uint64_t>(cause.code()));
   if (poison_dump_enabled_) {
     DumpPoisonSidecar(cause);
-  }
-  if (sampler_ != nullptr && sampler_->recorded() > 0) {
-    // Best-effort like the sidecar: flush whatever the ring already holds.
-    // No new sample is taken — Poison may run under any lock combination
-    // and Introspect needs the staged locks, whereas the ring dump touches
-    // only the sampler's own leaf mutex.
-    (void)WriteTimeseriesFile(log_path_ + ".timeseries.jsonl");
   }
 }
 
@@ -237,11 +214,6 @@ void RvmInstance::DumpPoisonSidecar(const Status& cause) {
                            "\",\"failed_shard\":" +
                            std::to_string(failed_shard) + "," +
                            ShardRowsJson() + FlightRecorderJson();
-  if (slo_ != nullptr) {
-    // Live rule state at death (engine lock is a leaf, so this is callable
-    // under poison_mu_ like the rest of the sidecar path).
-    trace_json += ",\"slo\":" + slo_->StateJson();
-  }
   const std::string document = TelemetryJsonDocument(
       "poison-dump", {StatisticsJsonRun("at-poison", stats_.Snapshot())},
       trace_json);
@@ -496,21 +468,11 @@ RvmInstance::RvmInstance(const RvmOptions& options,
       checksums_enabled_(options.enable_page_checksums),
       verify_on_map_(options.verify_on_map),
       runtime_(options.runtime),
-      truncation_mode_(options.truncation_mode),
-      metrics_export_path_(options.metrics_export_path) {
+      truncation_mode_(options.truncation_mode) {
   // Single-threaded here (pre-recovery), so touching the devices without
   // their log_mu is fine.
   for (const auto& shard : shards_) {
     shard->log->set_retry_policy(RetryPolicyFromRuntime());
-  }
-  if (options.sample_capacity > 0) {
-    StatsSampler::Options sampler_options;
-    sampler_options.sample_interval_us = options.sample_interval_us;
-    sampler_options.sample_capacity = options.sample_capacity;
-    sampler_options.source = "rvm-sampler";
-    sampler_options.shard_count = shards_.size();
-    sampler_ = std::make_unique<StatsSampler>(
-        sampler_options, [this] { return TakeTimeseriesSample(); });
   }
   if (options.span_ring_capacity > 0) {
     SpanCollector::Options span_options;
@@ -519,15 +481,6 @@ RvmInstance::RvmInstance(const RvmOptions& options,
     span_options.sample_rate = options.span_sample_rate;
     span_options.slow_threshold_us = options.slow_commit_threshold_us;
     spans_ = std::make_unique<SpanCollector>(span_options);
-  }
-  if (!options.slo_rules.empty()) {
-    // ValidateOptions already parsed this text; a failure here would mean
-    // the options changed between validation and construction, which the
-    // Initialize flow makes impossible.
-    StatusOr<std::vector<SloRule>> rules = ParseSloRules(options.slo_rules);
-    if (rules.ok()) {
-      slo_ = std::make_unique<SloEngine>(std::move(*rules));
-    }
   }
 }
 
@@ -549,54 +502,30 @@ RvmInstance::~RvmInstance() {
 
 Status RvmInstance::Terminate() {
   StopTruncationThread();
-  // The HTTP listener's handlers walk the same staged locks the sampler
-  // does; stop it first so no scrape can race the teardown below.
-  if (http_ != nullptr) {
-    http_->Stop();
-  }
-  // The sampler thread pulls samples through the staged locks; stop it
-  // before taking state_mu_ so shutdown cannot race a sample. The final
-  // explicit sample captures the instance's terminal state in the series.
-  if (sampler_ != nullptr) {
-    sampler_->Stop();
-    sampler_->SampleNow();
-  }
-  Status result = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (terminated_) {
-      return OkStatus();
-    }
-    if (!transactions_.empty()) {
-      return FailedPrecondition("uncommitted transactions outstanding");
-    }
-    RVM_RETURN_IF_ERROR(FailIfPoisoned());
-    RVM_RETURN_IF_ERROR(FlushDirectLocked());
-    // Persist the exact tail of every shard so the next Initialize has no
-    // forward scanning to do; not required for correctness, recovery would
-    // find the tails itself. Quarantined shards are skipped — their device
-    // is poisoned and the next Initialize (or RepairShard) recovers them by
-    // scanning anyway.
-    for (const auto& shard : shards_) {
-      if (shard->health.load(std::memory_order_acquire) !=
-          static_cast<uint32_t>(ShardHealth::kOk)) {
-        continue;
-      }
-      std::lock_guard<std::mutex> log_lock(shard->log_mu);
-      RVM_RETURN_IF_ERROR(shard->log->WriteStatus());
-    }
-    terminated_ = true;
+  std::lock_guard<std::mutex> lock(state_mu_);
+  if (terminated_) {
     return OkStatus();
-  }();
-  if (result.ok() && sampler_ != nullptr && sampler_->recorded() > 0) {
-    // The time series outlives the instance next to its log. A dump failure
-    // must not fail a Terminate whose durability work already succeeded.
-    Status dumped = WriteTimeseriesFile(log_path_ + ".timeseries.jsonl");
-    if (!dumped.ok()) {
-      RVM_LOG_WARN("timeseries dump on terminate failed: %s",
-                   dumped.ToString().c_str());
-    }
   }
-  return result;
+  if (!transactions_.empty()) {
+    return FailedPrecondition("uncommitted transactions outstanding");
+  }
+  RVM_RETURN_IF_ERROR(FailIfPoisoned());
+  RVM_RETURN_IF_ERROR(FlushDirectLocked());
+  // Persist the exact tail of every shard so the next Initialize has no
+  // forward scanning to do; not required for correctness, recovery would
+  // find the tails itself. Quarantined shards are skipped — their device
+  // is poisoned and the next Initialize (or RepairShard) recovers them by
+  // scanning anyway.
+  for (const auto& shard : shards_) {
+    if (shard->health.load(std::memory_order_acquire) !=
+        static_cast<uint32_t>(ShardHealth::kOk)) {
+      continue;
+    }
+    std::lock_guard<std::mutex> log_lock(shard->log_mu);
+    RVM_RETURN_IF_ERROR(shard->log->WriteStatus());
+  }
+  terminated_ = true;
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -2149,114 +2078,6 @@ RvmGauges RvmInstance::IntrospectLocked() {
     gauges.regions.push_back(std::move(rg));
   }
   return gauges;
-}
-
-TimeseriesSample RvmInstance::TakeTimeseriesSample() {
-  const RvmGauges gauges = Introspect();
-  const RvmStatistics stats = stats_.Snapshot();
-  TimeseriesSample sample;
-  sample.timestamp_us = gauges.timestamp_us;
-  sample.body = "\"gauges\":" + GaugesJson(gauges) +
-                ",\"counters\":" + StatisticsCountersJson(stats);
-  // SLO evaluation rides the sampler tick (DESIGN.md §16): one rule pass per
-  // sample over the same signal map the time series records. No instance
-  // locks are held here and the ring is lock-free, so recording the
-  // transitions into the flight recorder (stamped with the sample's own
-  // timestamp) is safe.
-  if (slo_ != nullptr) {
-    for (const SloTransition& transition :
-         slo_->Evaluate(gauges.timestamp_us, SloSignals(gauges))) {
-      RecordEventAt(
-          gauges.timestamp_us,
-          transition.firing ? SpanKind::kSloFiring : SpanKind::kSloResolved,
-          static_cast<uint64_t>(transition.value < 0 ? 0 : transition.value),
-          0, transition.rule_index);
-      RVM_LOG_WARN("rvm slo rule '%s' %s (value %.3f)",
-                   transition.rule.c_str(),
-                   transition.firing ? "firing" : "resolved",
-                   transition.value);
-    }
-  }
-  // File-based exposition: rewrite the OpenMetrics document atomically so a
-  // concurrent reader always sees a complete exposition — the SimEnv
-  // equivalent of a /metrics scrape. Best-effort: a full disk must not turn
-  // the sampler tick into a failure.
-  if (!metrics_export_path_.empty()) {
-    Status exported = WriteFileAtomic(*env_, metrics_export_path_,
-                                      RenderMetricsText(stats, gauges));
-    if (!exported.ok()) {
-      RVM_LOG_WARN("metrics export to %s failed: %s",
-                   metrics_export_path_.c_str(),
-                   exported.ToString().c_str());
-    }
-  }
-  return sample;
-}
-
-std::string RvmInstance::RenderMetrics() {
-  const RvmGauges gauges = Introspect();
-  return RenderMetricsText(stats_.Snapshot(), gauges);
-}
-
-int RvmInstance::Healthz(std::string* body) {
-  const bool is_poisoned = poisoned();
-  const bool firing = slo_firing();
-  const bool healthy = !is_poisoned && !firing;
-  *body = std::string("{\"status\":\"") + (healthy ? "ok" : "unhealthy") +
-          "\",\"poisoned\":" + (is_poisoned ? "true" : "false");
-  if (slo_ != nullptr) {
-    *body += ",\"slo\":" + slo_->StateJson();
-  }
-  *body += "}\n";
-  return healthy ? 200 : 503;
-}
-
-HttpResponse RvmInstance::HandleHttp(const HttpRequest& request) {
-  HttpResponse response;
-  // Query strings are not split off by the listener; tolerate them here so
-  // "GET /metrics?format=openmetrics" style scrapes work.
-  std::string path = request.path;
-  if (size_t query = path.find('?'); query != std::string::npos) {
-    path.resize(query);
-  }
-  if (path == "/metrics") {
-    response.content_type = kOpenMetricsContentType;
-    response.body = RenderMetrics();
-  } else if (path == "/healthz") {
-    response.content_type = "application/json";
-    response.status_code = Healthz(&response.body);
-  } else {
-    response.status_code = 404;
-    response.body = "not found (try /metrics or /healthz)\n";
-  }
-  return response;
-}
-
-void RvmInstance::SampleNow() {
-  if (sampler_ != nullptr) {
-    sampler_->SampleNow();
-  }
-}
-
-Status RvmInstance::WriteTimeseriesFile(const std::string& path) {
-  const std::string document = sampler_->DumpJsonl();
-  RVM_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                       env_->Open(path, OpenMode::kTruncate));
-  RVM_RETURN_IF_ERROR(file->WriteAt(
-      0, std::span<const uint8_t>(
-             reinterpret_cast<const uint8_t*>(document.data()),
-             document.size())));
-  return file->Sync();
-}
-
-Status RvmInstance::DumpTimeseries(const std::string& path) {
-  if (sampler_ == nullptr) {
-    return FailedPrecondition("sampling disabled (sample_capacity is 0)");
-  }
-  if (sampler_->recorded() == 0) {
-    return FailedPrecondition("no samples recorded");
-  }
-  return WriteTimeseriesFile(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "src/os/file.h"
-#include "src/os/http.h"
 #include "src/rvm/checksum_map.h"
 #include "src/rvm/cpu_model.h"
 #include "src/rvm/gauges.h"
@@ -64,8 +63,6 @@
 #include "src/rvm/page_vector.h"
 #include "src/rvm/statistics.h"
 #include "src/rvm/types.h"
-#include "src/telemetry/sampler.h"
-#include "src/telemetry/slo.h"
 #include "src/telemetry/span.h"
 #include "src/util/interval_set.h"
 #include "src/util/status.h"
@@ -183,42 +180,6 @@ class RvmInstance {
   // snapshot are mutually consistent. Works on a poisoned instance: gauges
   // are reads, not I/O.
   RvmGauges Introspect();
-
-  // Records one gauges+counters sample into the StatsSampler ring (no-op
-  // when RvmOptions::sample_capacity is 0). The background thread calls the
-  // same path every sample_interval_us; explicit calls are how simulated
-  // and deterministic-test runs build a time series.
-  void SampleNow();
-
-  // Writes the sampler ring as an rvm-timeseries-v2 JSONL document to
-  // `path`. kFailedPrecondition when sampling is disabled or no samples have
-  // been recorded. Terminate writes the same document to
-  // "<log_path>.timeseries.jsonl" automatically; poison does so best-effort.
-  Status DumpTimeseries(const std::string& path);
-
-  // Live metrics export and health (DESIGN.md §16).
-  //
-  // The full OpenMetrics exposition — every counter, histogram, gauge, and
-  // labeled per-shard/per-region series — rendered from a fresh snapshot.
-  // This is the body a GET /metrics scrape returns and the text the
-  // metrics_export_path file holds; callable any time, including on a
-  // poisoned instance (gauges are reads, not I/O).
-  std::string RenderMetrics();
-  // Health evaluation: writes a small JSON body into `*body` and returns the
-  // HTTP status a /healthz probe should serve — 200 when the instance is
-  // healthy, 503 when it is poisoned or any SLO rule is currently firing.
-  // The body carries "status", "poisoned", and (when the engine is
-  // configured) the per-rule "slo" state array.
-  int Healthz(std::string* body);
-  // True while at least one SLO rule is firing (always false when
-  // RvmOptions::slo_rules is empty).
-  bool slo_firing() const { return slo_ != nullptr && slo_->any_firing(); }
-  // The port the embedded HTTP listener is bound to, or -1 when the listener
-  // is disabled. With metrics_http_port = 0 this is how tests learn the
-  // ephemeral port the kernel picked.
-  int metrics_port() const {
-    return http_ != nullptr ? static_cast<int>(http_->port()) : -1;
-  }
 
   // The event ring (DESIGN.md §10, §15): the flight recorder and span
   // trees in one record model. A point-in-time merge of every shard's ring
@@ -476,10 +437,12 @@ class RvmInstance {
   // Forces every sibling shard's log if this shard's live log holds 2PC
   // decision records. A coordinator must not durably forget an outcome
   // while a participant's only evidence (its unforced commit marker) is
-  // still volatile; truncation calls this before MarkEmpty/head moves.
-  // Takes each sibling's log_mu one at a time; safe because every
-  // multi-log-lock path runs under state_mu_ (held here).
-  Status ForceSiblingEvidenceBothLocked(LogShard& shard);
+  // still volatile; truncation and repair call this before MarkEmpty/head
+  // moves. Takes each sibling's log_mu one at a time. Repair calls it
+  // without `shard`'s log_mu; the truncation paths still hold it, which
+  // cannot deadlock because every multi-log-lock path runs under
+  // state_mu_ (held here), but is not the ascending order.
+  Status ForceSiblingEvidenceLocked(LogShard& shard);
   // Epoch-truncates every shard (Truncate(), Unmap()).
   Status TruncateAllEpochLocked();
   Status MaybeTruncateLocked();
@@ -618,17 +581,6 @@ class RvmInstance {
   // The body of Introspect once state_mu_ is held; acquires every shard's
   // log lock (ascending) itself.
   RvmGauges IntrospectLocked();
-  // Renders one sampler entry: gauges (via Introspect) plus a statistics
-  // snapshot. Acquires the staged locks; never call it while holding them.
-  TimeseriesSample TakeTimeseriesSample();
-  // Writes the sampler ring to `path`; shared by DumpTimeseries, Terminate,
-  // and the poison path. Touches only the sampler ring and env_, so callable
-  // from any lock state.
-  Status WriteTimeseriesFile(const std::string& path);
-  // Request router for the embedded HTTP listener (DESIGN.md §16): /metrics
-  // and /healthz. Runs on the listener thread; takes the staged locks via
-  // Introspect, never the listener's own state.
-  HttpResponse HandleHttp(const HttpRequest& request);
 
   // --- failure containment ---
   // Enters fail-stop mode with `cause` (first call wins; later calls are
@@ -801,25 +753,9 @@ class RvmInstance {
   Status poison_cause_;
 
   RvmStatistics stats_;
-  // Time-series sampler (DESIGN.md §11); null when sample_capacity is 0.
-  // Owns its ring behind a leaf mutex; its background thread (when
-  // sample_interval_us > 0) pulls samples through TakeTimeseriesSample and
-  // is stopped before Terminate takes the state lock.
-  std::unique_ptr<StatsSampler> sampler_;
   // The event ring (DESIGN.md §10, §15); null when span_ring_capacity is
   // 0. Lock-free per-shard rings, safe from any thread / lock state.
   std::unique_ptr<SpanCollector> spans_;
-  // SLO engine (DESIGN.md §16); null when RvmOptions::slo_rules is empty.
-  // Evaluated on every sampler tick; its own leaf mutex makes StateJson
-  // callable from the poison path.
-  std::unique_ptr<SloEngine> slo_;
-  // Exposition file path (RvmOptions::metrics_export_path); empty disables
-  // the file export. Immutable after construction, read on the sampler tick.
-  const std::string metrics_export_path_;
-  // Embedded HTTP listener (DESIGN.md §16); null unless
-  // RvmOptions::metrics_http_port >= 0. Started after recovery, stopped at
-  // the top of Terminate (before teardown invalidates what handlers read).
-  std::unique_ptr<HttpServer> http_;
 };
 
 // RAII transaction helper. Aborts on destruction unless committed.

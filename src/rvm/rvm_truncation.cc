@@ -362,7 +362,7 @@ Status RvmInstance::ArchiveLiveLogBothLocked(LogShard& shard) {
   return archive->WriteStatus();
 }
 
-Status RvmInstance::ForceSiblingEvidenceBothLocked(LogShard& shard) {
+Status RvmInstance::ForceSiblingEvidenceLocked(LogShard& shard) {
   if (shards_.size() == 1 || !shard.holds_decisions) {
     return OkStatus();
   }
@@ -433,7 +433,7 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
       shard, &stats_.truncation_records_applied,
       &stats_.truncation_bytes_applied, &stats_.truncation_step_us,
       /*decided=*/nullptr, segment_files_));
-  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceBothLocked(shard));
+  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
   shard.log->MarkEmpty();
   shard.holds_decisions = false;
   Status status_write = shard.log->WriteStatus();
@@ -601,7 +601,7 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
   }
   // The head move (or empty) durably discards records, possibly including
   // cross-shard decision records; sibling evidence must be durable first.
-  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceBothLocked(shard));
+  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
   if (shard.page_queue.empty()) {
     shard.log->MarkEmpty();
     shard.holds_decisions = false;
@@ -661,6 +661,12 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
   RecordEventAt(phase_us, SpanKind::kShardRepair, 0, index);
 
   Status result = [&]() -> Status {
+    // Lock order: this shard's log_mu is never held while a sibling's is
+    // taken (Introspect takes them all in ascending order), so the phases
+    // below take it in three separate sections. Nothing else can reach the
+    // shard in between: state_mu_ is held throughout and the shard is
+    // kRepairing, which every commit path refuses.
+    //
     // Phase 0: a fresh device on the healed file — never the poisoned fd
     // (fsyncgate: its page-cache state is unknown). The old device is
     // dropped on the swap; everything below runs on clean state.
@@ -674,18 +680,28 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
     healed->status().segments = shards_[0]->log->status().segments;
     healed->status().next_segment_id =
         shards_[0]->log->status().next_segment_id;
-    std::lock_guard<std::mutex> log_lock(shard.log_mu);
-    shard.log = std::move(healed);
+    std::set<TransactionId> decided;
+    bool has_records = false;
+    {
+      std::lock_guard<std::mutex> log_lock(shard.log_mu);
+      shard.log = std::move(healed);
 
-    // Phase 1: find the true end of the healed log by forward validity
-    // scanning (records appended after the last durable status write, and
-    // everything a failed sync left behind, are rediscovered here; a torn
-    // trailing record fails its checksum and bounds the scan).
-    RVM_ASSIGN_OR_RETURN(uint64_t found, shard.log->ExtendTailForward());
-    phase_us =
-        RecordPhase(SpanKind::kRecoveryScan, shard.index, phase_us, found);
+      // Phase 1: find the true end of the healed log by forward validity
+      // scanning (records appended after the last durable status write,
+      // and everything a failed sync left behind, are rediscovered here; a
+      // torn trailing record fails its checksum and bounds the scan).
+      RVM_ASSIGN_OR_RETURN(uint64_t found, shard.log->ExtendTailForward());
+      phase_us =
+          RecordPhase(SpanKind::kRecoveryScan, shard.index, phase_us, found);
+      has_records = shard.log->used() > 0;
+      if (has_records) {
+        std::set<TransactionId> prepared;
+        RVM_RETURN_IF_ERROR(
+            CollectShardTidSetsBothLocked(shard, &prepared, &decided));
+      }
+    }
 
-    if (shard.log->used() > 0) {
+    if (has_records) {
       // Phase 2: decided = (this shard's decisions ∪ every live sibling's
       // decisions) minus the transactions this process already presumed
       // aborted. The subtraction is what keeps the repaired shard consistent
@@ -694,10 +710,6 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       // in-process outcome was an abort (the decision force failed after the
       // record hit the file) — and the siblings have already rolled that
       // transaction back.
-      std::set<TransactionId> prepared;
-      std::set<TransactionId> decided;
-      RVM_RETURN_IF_ERROR(
-          CollectShardTidSetsBothLocked(shard, &prepared, &decided));
       for (const auto& other : shards_) {
         if (other->index == index) {
           continue;
@@ -713,6 +725,7 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
 
       // Phase 3+4: apply this shard's log newest-record-wins to its (
       // disjoint) segment set, prepares filtered through the decided set.
+      std::lock_guard<std::mutex> log_lock(shard.log_mu);
       RVM_RETURN_IF_ERROR(RecoverShardBothLocked(shard, &decided,
                                                  segment_files_, &phase_us));
     }
@@ -720,7 +733,8 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
     // Phase 5: declare the log empty — but if it carried cross-shard
     // decision evidence, force the siblings first, exactly like a live
     // truncation (their markers may still sit in volatile tails).
-    RVM_RETURN_IF_ERROR(ForceSiblingEvidenceBothLocked(shard));
+    RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
+    std::lock_guard<std::mutex> log_lock(shard.log_mu);
     shard.log->MarkEmpty();
     shard.holds_decisions = false;
     RVM_RETURN_IF_ERROR(shard.log->WriteStatus());

@@ -219,11 +219,12 @@ struct RvmStatistics {
   // begun/done stay equal only when no writer is mid-cluster). The retry
   // loop is bounded — under sustained write pressure (e.g. a commit storm)
   // the last copy is returned anyway, degrading to the old per-field-atomic
-  // behavior rather than livelocking a monitoring reader. Counters not
-  // inside any cluster still land at whatever instant the copy read them;
-  // the clusters cover the derivations display code actually performs
-  // (group-commit saved forces, truncation in-flight window, Table 2 byte
-  // accounting).
+  // behavior rather than livelocking a monitoring reader; such a copy
+  // reports updates_in_flight() == 1, so a caller can tell it from a clean
+  // one. Counters not inside any cluster still land at whatever instant the
+  // copy read them; the clusters cover the derivations display code
+  // actually performs (group-commit saved forces, truncation in-flight
+  // window, Table 2 byte accounting).
   RvmStatistics Snapshot() const {
     static constexpr int kMaxRetries = 16;
     RvmStatistics copy;
@@ -233,8 +234,15 @@ struct RvmStatistics {
       copy = *this;
       const bool clean = begun == done && updates_begun_.Load() == begun &&
                          updates_done_.Load() == done;
-      if (clean || attempt + 1 >= kMaxRetries) {
-        return copy;  // clean, or the bounded-degradation fallback
+      if (clean) {
+        return copy;
+      }
+      if (attempt + 1 >= kMaxRetries) {
+        // The bounded-degradation fallback: the seq halves were copied at
+        // other instants than the counters, so mark the copy as torn.
+        copy.updates_done_ = copy.updates_begun_;
+        copy.updates_begun_.Bump();
+        return copy;
       }
     }
   }

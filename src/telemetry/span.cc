@@ -60,10 +60,6 @@ const char* SpanKindName(SpanKind kind) {
       return "checksum-mismatch";
     case SpanKind::kPageRepair:
       return "page-repair";
-    case SpanKind::kSloFiring:
-      return "slo-firing";
-    case SpanKind::kSloResolved:
-      return "slo-resolved";
   }
   return "unknown";
 }
@@ -166,7 +162,17 @@ void SpanRing::Record(const Span& span) {
   // language memory models?"): odd marker, release fence, payload, even
   // release store. The payload fields are themselves atomic, so a reader
   // racing a wrap-around sees a stale value, never undefined behavior.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  // The odd marker is claimed, not stored: if the ring wrapped onto a slot
+  // whose previous writer is still mid-payload, that writer would finish
+  // its stores under this one's even marker and a reader could accept the
+  // mix. The newer record is dropped instead (it would have been
+  // overwritten within one more wrap anyway).
+  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seen, 2 * ticket + 1,
+                                        std::memory_order_relaxed)) {
+    return;
+  }
   std::atomic_thread_fence(std::memory_order_release);
   slot.span_id.store(span.span_id, std::memory_order_relaxed);
   slot.parent_id.store(span.parent_id, std::memory_order_relaxed);

@@ -58,8 +58,6 @@ enum class SpanKind : uint8_t {
   kScrub,             // tid= pages scrubbed; arg = mismatches found
   kChecksumMismatch,  // tid= segment id; arg = page index in the file
   kPageRepair,        // tid= segment id; arg = page index in the file
-  kSloFiring,         // tid= rule index; arg = signal value (truncated)
-  kSloResolved,       // tid= rule index; arg = signal value (truncated)
 };
 
 // Stable lowercase-dash name, the "kind" field of rvm-spans-v1.
@@ -93,11 +91,14 @@ std::string SpansJsonl(const std::vector<Span>& spans,
 std::string SpansToChromeTrace(const std::vector<Span>& spans,
                                uint32_t shards);
 
-// Fixed-capacity lock-free span ring. Writers claim a slot with one
+// Fixed-capacity lock-free span ring. Writers take a slot with one
 // fetch_add and publish through a per-slot sequence word (odd while a write
-// is in flight, even once complete); every payload field is a relaxed
-// atomic, so concurrent wrap-around is a stale read, never a data race.
-// Snapshot() drops slots it observes mid-overwrite. Each slot is 64 bytes.
+// is in flight, even once complete), which they claim with a CAS: a writer
+// that wraps onto a slot another writer is still filling drops its record,
+// so one slot never holds two writers' fields. Every payload field is a
+// relaxed atomic, so concurrent wrap-around is a stale read, never a data
+// race. Snapshot() drops slots it observes mid-overwrite. Each slot is 64
+// bytes.
 class SpanRing {
  public:
   explicit SpanRing(size_t capacity);

@@ -1,11 +1,11 @@
-// Live-metrics export and SLO engine tests (DESIGN.md §16): the
-// MetricsRegistry OpenMetrics renderer and its lint, the SimEnv
-// byte-determinism of the exposition (rendered directly and through the
-// metrics_export_path file), the SLO rule state machine (threshold and
-// burn-rate), the /healthz flip on shard quarantine and back after
-// RepairShard, the RealEnv HTTP endpoints, and the teardown races between
-// scrapes/samplers and Terminate (the thread-sanitizer CI job hammers
-// these).
+// Monitor tests (DESIGN.md §16): the MetricsRegistry OpenMetrics renderer
+// and its lint, the SimEnv byte-determinism of the exposition (rendered
+// directly and through the monitor's export file), the SLO rule state
+// machine (threshold and burn-rate), the /healthz flip on shard quarantine
+// and back after RepairShard, RvmMonitor::Create's input checks, the
+// RealEnv HTTP endpoints including a stalled client, and the teardown
+// races between monitor readers and Terminate (the thread-sanitizer CI job
+// hammers these).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,17 +17,19 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/monitor/http.h"
+#include "src/monitor/metrics.h"
+#include "src/monitor/monitor.h"
+#include "src/monitor/slo.h"
 #include "src/os/fault_env.h"
 #include "src/os/file.h"
-#include "src/os/http.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/rvm.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/slo.h"
 #include "src/util/random.h"
 
 namespace rvm {
@@ -231,17 +233,19 @@ std::string ReadFileText(Env* env, const std::string& path) {
 }
 
 // Runs a fixed workload on a fresh MemEnv and returns (exposition rendered
-// directly, exposition exported to the metrics file by the sampler tick).
+// directly, exposition exported to the metrics file by the monitor tick).
 std::pair<std::string, std::string> RunSimExpositionWorkload() {
   MemEnv env;
   EXPECT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
   RvmOptions options;
   options.env = &env;
   options.log_path = "/log";
-  options.sample_capacity = 64;
-  options.metrics_export_path = "/metrics.om";
   auto rvm = RvmInstance::Initialize(options);
   EXPECT_TRUE(rvm.ok()) << rvm.status().ToString();
+  MonitorOptions monitor_options;
+  monitor_options.export_path = "/metrics.om";
+  auto monitor = RvmMonitor::Create(**rvm, &env, monitor_options);
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
   RegionDescriptor region;
   region.segment_path = "/seg";
   region.length = 16 * kPage;
@@ -256,10 +260,10 @@ std::pair<std::string, std::string> RunSimExpositionWorkload() {
         txn.Commit(i % 3 == 0 ? CommitMode::kFlush : CommitMode::kNoFlush)
             .ok());
   }
-  (*rvm)->SampleNow();  // deterministic tick: rewrites /metrics.om atomically
+  (*monitor)->Tick();  // deterministic tick: rewrites /metrics.om atomically
   // The export is rename-based: the scratch file must not linger.
   EXPECT_FALSE(env.Exists("/metrics.om.tmp"));
-  std::pair<std::string, std::string> result{(*rvm)->RenderMetrics(),
+  std::pair<std::string, std::string> result{(*monitor)->RenderMetrics(),
                                              ReadFileText(&env, "/metrics.om")};
   EXPECT_TRUE((*rvm)->Terminate().ok());
   return result;
@@ -329,11 +333,14 @@ TEST(HealthzTest, QuarantineFiresSloAndResolvesAfterRepair) {
   options.env = &env;
   options.log_path = "/log";
   options.log_shards = kShards;
-  options.sample_capacity = 64;
-  options.slo_rules = "rule quarantine quarantined_shards >= 1\n";
   auto opened = RvmInstance::Initialize(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<RvmInstance> rvm = std::move(*opened);
+  MonitorOptions monitor_options;
+  monitor_options.slo_rules = "rule quarantine quarantined_shards >= 1\n";
+  auto created = RvmMonitor::Create(*rvm, &mem, monitor_options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  RvmMonitor& monitor = **created;
   std::vector<uint8_t*> bases;
   for (uint32_t i = 0; i < kShards; ++i) {
     RegionDescriptor region;
@@ -355,11 +362,11 @@ TEST(HealthzTest, QuarantineFiresSloAndResolvesAfterRepair) {
   }
   ASSERT_LT(victim, bases.size()) << "no region stripes onto shard " << target;
 
-  rvm->SampleNow();
+  monitor.Tick();
   std::string body;
-  EXPECT_EQ(rvm->Healthz(&body), 200);
+  EXPECT_EQ(monitor.Healthz(&body), 200);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
-  EXPECT_FALSE(rvm->slo_firing());
+  EXPECT_NE(body.find("\"firing\":false"), std::string::npos) << body;
 
   // Shred the target shard's device; the failed commit quarantines it.
   FaultSpec spec;
@@ -372,14 +379,13 @@ TEST(HealthzTest, QuarantineFiresSloAndResolvesAfterRepair) {
   ASSERT_EQ(rvm->shard_health(target), RvmInstance::ShardHealth::kQuarantined);
 
   // The SLO engine sees the gauge on the next tick and flips /healthz.
-  rvm->SampleNow();
-  EXPECT_TRUE(rvm->slo_firing());
-  EXPECT_EQ(rvm->Healthz(&body), 503);
+  monitor.Tick();
+  EXPECT_EQ(monitor.Healthz(&body), 503);
   EXPECT_NE(body.find("\"status\":\"unhealthy\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"rule\":\"quarantine\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"firing\":true"), std::string::npos) << body;
   // The exposition carries the quarantined shard too.
-  const std::string exposition = rvm->RenderMetrics();
+  const std::string exposition = monitor.RenderMetrics();
   EXPECT_TRUE(ValidateOpenMetrics(exposition).ok());
   EXPECT_NE(exposition.find("rvm_quarantined_shards 1"), std::string::npos)
       << exposition;
@@ -388,10 +394,10 @@ TEST(HealthzTest, QuarantineFiresSloAndResolvesAfterRepair) {
   // /healthz returns to 200.
   env.ClearFaults();
   ASSERT_TRUE(rvm->RepairShard(target).ok());
-  rvm->SampleNow();
-  EXPECT_FALSE(rvm->slo_firing());
-  EXPECT_EQ(rvm->Healthz(&body), 200);
+  monitor.Tick();
+  EXPECT_EQ(monitor.Healthz(&body), 200);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"firing\":false"), std::string::npos) << body;
   EXPECT_TRUE(rvm->Terminate().ok());
 }
 
@@ -421,22 +427,54 @@ TEST(HealthzTest, PoisonedInstanceReportsUnhealthyAndStillRendersMetrics) {
   ASSERT_FALSE(CommitByteTo(*rvm, base, 0x02).ok());
   ASSERT_TRUE(rvm->poisoned());
 
+  // A monitor attached after the poison still works: every input it reads
+  // is a public snapshot call, not I/O.
+  auto monitor = RvmMonitor::Create(*rvm, &mem, {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
   std::string body;
-  EXPECT_EQ(rvm->Healthz(&body), 503);
+  EXPECT_EQ((*monitor)->Healthz(&body), 503);
   EXPECT_NE(body.find("\"poisoned\":true"), std::string::npos) << body;
   // Scraping a poisoned instance still works — that is when the operator
   // needs the counters most.
-  EXPECT_TRUE(ValidateOpenMetrics(rvm->RenderMetrics()).ok());
+  EXPECT_TRUE(ValidateOpenMetrics((*monitor)->RenderMetrics()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// RvmMonitor::Create input checks
+
+TEST(MonitorCreateTest, RejectsPortAboveRangeAndMalformedRules) {
+  MemEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  MonitorOptions monitor_options;
+  monitor_options.http_port = 65536;
+  EXPECT_EQ(RvmMonitor::Create(**rvm, &env, monitor_options).status().code(),
+            ErrorCode::kInvalidArgument);
+  monitor_options.http_port = -1;
+  for (const char* rules :
+       {"rule broken >\n", "rule a x > 1\nrule a y > 2\n",
+        "rule a x > 1 window=4\n"}) {
+    monitor_options.slo_rules = rules;
+    auto monitor = RvmMonitor::Create(**rvm, &env, monitor_options);
+    EXPECT_EQ(monitor.status().code(), ErrorCode::kInvalidArgument) << rules;
+  }
+  // A well-formed rule is accepted.
+  monitor_options.slo_rules = "rule a x > 1\n";
+  EXPECT_TRUE(RvmMonitor::Create(**rvm, &env, monitor_options).ok());
 }
 
 // ---------------------------------------------------------------------------
 // HTTP endpoints (RealEnv only)
 
-// Minimal scrape client: one GET, returns the full response text.
-std::string HttpGet(uint16_t port, const std::string& request_line) {
+// Opens a raw connection to the listener, or -1.
+int ConnectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return "";
+    return -1;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -444,6 +482,15 @@ std::string HttpGet(uint16_t port, const std::string& request_line) {
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Minimal scrape client: one GET, returns the full response text.
+std::string HttpGet(uint16_t port, const std::string& request_line) {
+  const int fd = ConnectTo(port);
+  if (fd < 0) {
     return "";
   }
   const std::string request = request_line + "\r\nHost: localhost\r\n\r\n";
@@ -475,13 +522,16 @@ class HttpEndpointTest : public ::testing::Test {
         RvmInstance::CreateLog(GetRealEnv(), log_path, 1 << 20).ok());
     RvmOptions options;
     options.log_path = log_path;
-    options.sample_capacity = 64;
-    options.metrics_http_port = 0;  // ephemeral
-    options.slo_rules = "rule quarantine quarantined_shards >= 1\n";
     auto opened = RvmInstance::Initialize(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     rvm_ = std::move(*opened);
-    ASSERT_GT(rvm_->metrics_port(), 0);
+    MonitorOptions monitor_options;
+    monitor_options.http_port = 0;  // ephemeral
+    monitor_options.slo_rules = "rule quarantine quarantined_shards >= 1\n";
+    auto monitor = RvmMonitor::Create(*rvm_, /*env=*/nullptr, monitor_options);
+    ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+    monitor_ = std::move(*monitor);
+    ASSERT_GT(monitor_->port(), 0);
     RegionDescriptor region;
     region.segment_path = dir_ + "/seg";
     region.length = kPage;
@@ -490,6 +540,7 @@ class HttpEndpointTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    monitor_.reset();  // a monitor must not outlive its instance
     if (rvm_ != nullptr) {
       EXPECT_TRUE(rvm_->Terminate().ok());
     }
@@ -497,15 +548,17 @@ class HttpEndpointTest : public ::testing::Test {
     (void)!std::system(cleanup.c_str());
   }
 
+  uint16_t port() const { return static_cast<uint16_t>(monitor_->port()); }
+
   std::string dir_;
   std::unique_ptr<RvmInstance> rvm_;
+  std::unique_ptr<RvmMonitor> monitor_;
   uint8_t* base_ = nullptr;
 };
 
 TEST_F(HttpEndpointTest, MetricsEndpointServesValidOpenMetrics) {
   ASSERT_TRUE(CommitByteTo(*rvm_, base_, 0x42).ok());
-  const uint16_t port = static_cast<uint16_t>(rvm_->metrics_port());
-  const std::string response = HttpGet(port, "GET /metrics HTTP/1.1");
+  const std::string response = HttpGet(port(), "GET /metrics HTTP/1.1");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find(kOpenMetricsContentType), std::string::npos);
   const std::string body = HttpBody(response);
@@ -514,13 +567,13 @@ TEST_F(HttpEndpointTest, MetricsEndpointServesValidOpenMetrics) {
             std::string::npos)
       << body;
   // Query strings are routed like the bare path.
-  EXPECT_NE(HttpGet(port, "GET /metrics?format=openmetrics HTTP/1.1")
+  EXPECT_NE(HttpGet(port(), "GET /metrics?format=openmetrics HTTP/1.1")
                 .find("HTTP/1.1 200 OK"),
             std::string::npos);
 }
 
 TEST_F(HttpEndpointTest, HealthzAndErrorRoutes) {
-  const uint16_t port = static_cast<uint16_t>(rvm_->metrics_port());
+  const uint16_t port = this->port();
   const std::string healthz = HttpGet(port, "GET /healthz HTTP/1.1");
   EXPECT_NE(healthz.find("HTTP/1.1 200 OK"), std::string::npos) << healthz;
   EXPECT_NE(healthz.find("application/json"), std::string::npos);
@@ -534,8 +587,10 @@ TEST_F(HttpEndpointTest, HealthzAndErrorRoutes) {
 TEST_F(HttpEndpointTest, ScrapesRaceTerminateWithoutCrashing) {
   // Hammer the endpoints from several clients while the instance shuts
   // down: every scrape must either complete or be refused, never crash or
-  // hang (the listener stops before the instance tears down state).
-  const uint16_t port = static_cast<uint16_t>(rvm_->metrics_port());
+  // hang. Terminate leaves the listener up: a terminated instance is
+  // still introspectable, so scrapes keep being answered until the monitor
+  // is destroyed.
+  const uint16_t port = this->port();
   std::atomic<bool> stop{false};
   std::vector<std::thread> scrapers;
   for (int i = 0; i < 3; ++i) {
@@ -553,12 +608,49 @@ TEST_F(HttpEndpointTest, ScrapesRaceTerminateWithoutCrashing) {
   for (std::thread& scraper : scrapers) {
     scraper.join();
   }
+  monitor_.reset();
   rvm_.reset();
 }
 
+TEST_F(HttpEndpointTest, StalledClientNeitherBlocksScrapesNorStop) {
+  // A client sends half a request and then holds the connection open. The
+  // serial listener must drop it after its bounded read, serve the next
+  // client, and stop promptly even while another stalled client is held.
+  const int stalled = ConnectTo(port());
+  ASSERT_GE(stalled, 0);
+  const std::string partial = "GET /metr";
+  ASSERT_EQ(::write(stalled, partial.data(), partial.size()),
+            static_cast<ssize_t>(partial.size()));
+
+  auto healthz = std::async(std::launch::async, [port = port()] {
+    return HttpGet(port, "GET /healthz HTTP/1.1");
+  });
+  const auto served = healthz.wait_for(std::chrono::seconds(10));
+  // Closing the stalled client unblocks a listener without a read bound, so
+  // a regression fails here instead of hanging the suite.
+  ::close(stalled);
+  ASSERT_EQ(served, std::future_status::ready)
+      << "a stalled client blocked the next scrape";
+  EXPECT_NE(healthz.get().find("HTTP/1.1 200 OK"), std::string::npos);
+
+  const int stalled_again = ConnectTo(port());
+  ASSERT_GE(stalled_again, 0);
+  ASSERT_EQ(::write(stalled_again, partial.data(), partial.size()),
+            static_cast<ssize_t>(partial.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Destroying the monitor stops the listener. Run it on a helper thread
+  // and bound the wait so a hang fails the test instead of the suite.
+  RvmMonitor* monitor = monitor_.release();
+  auto stopped = std::async(std::launch::async, [monitor] { delete monitor; });
+  const auto verdict = stopped.wait_for(std::chrono::seconds(10));
+  ::close(stalled_again);
+  ASSERT_EQ(verdict, std::future_status::ready)
+      << "the listener did not stop while a client was stalled";
+}
+
 // ---------------------------------------------------------------------------
-// Teardown races (satellite of DESIGN.md §16: the sampler/span/scrape
-// shutdown paths must be clean under TSan)
+// Teardown races (satellite of DESIGN.md §16: the monitor/span/scrape
+// readers must race Terminate cleanly under TSan)
 
 TEST(ShutdownRaceTest, SnapshotReadersRaceTerminate) {
   for (int round = 0; round < 8; ++round) {
@@ -567,12 +659,15 @@ TEST(ShutdownRaceTest, SnapshotReadersRaceTerminate) {
     RvmOptions options;
     options.env = &env;
     options.log_path = "/log";
-    options.sample_capacity = 64;
-    options.sample_interval_us = 200;  // fast ticks to collide with Stop
-    options.slo_rules = "rule util log_utilization > 0.99\n";
     auto opened = RvmInstance::Initialize(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<RvmInstance> rvm = std::move(*opened);
+    MonitorOptions monitor_options;
+    monitor_options.export_path = "/metrics.om";
+    monitor_options.slo_rules = "rule util log_utilization > 0.99\n";
+    auto created = RvmMonitor::Create(*rvm, &env, monitor_options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    RvmMonitor& monitor = **created;
     RegionDescriptor region;
     region.segment_path = "/seg";
     region.length = 4 * kPage;
@@ -584,18 +679,21 @@ TEST(ShutdownRaceTest, SnapshotReadersRaceTerminate) {
 
     std::atomic<bool> stop{false};
     std::vector<std::thread> readers;
-    for (int i = 0; i < 3; ++i) {
-      readers.emplace_back([&rvm, &stop, i] {
+    for (int i = 0; i < 4; ++i) {
+      readers.emplace_back([&rvm, &monitor, &stop, i] {
         while (!stop.load(std::memory_order_relaxed)) {
           switch (i) {
             case 0:
-              (void)rvm->RenderMetrics();
+              (void)monitor.RenderMetrics();
               break;
             case 1: {
               std::string body;
-              (void)rvm->Healthz(&body);
+              (void)monitor.Healthz(&body);
               break;
             }
+            case 2:
+              monitor.Tick();  // the one ticking thread
+              break;
             default:
               (void)rvm->Introspect();
               (void)rvm->statistics().Snapshot();
@@ -604,8 +702,8 @@ TEST(ShutdownRaceTest, SnapshotReadersRaceTerminate) {
         }
       });
     }
-    // Terminate while readers and the sampler thread are mid-flight; the
-    // reader APIs stay callable on a terminated instance.
+    // Terminate while the readers and the ticker are mid-flight; every
+    // monitor call stays valid on a terminated instance.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_TRUE(rvm->Terminate().ok());
     stop.store(true);

@@ -1,9 +1,10 @@
 // Continuous-observability tests (DESIGN.md §11): RvmGauges/Introspect under
 // load, the seqlock'd statistics snapshot, the StatsSampler ring and its
-// rvm-timeseries-v2 JSONL dumps, and the flush-to-file lifecycle (Terminate,
-// poison, explicit DumpTimeseries).
+// rvm-timeseries-v2 JSONL dumps, and the monitor's time-series lifecycle
+// (Tick and DumpTimeseries across Terminate and poison).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -11,11 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/monitor/monitor.h"
+#include "src/monitor/sampler.h"
 #include "src/os/fault_env.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/rvm.h"
 #include "src/telemetry/json.h"
-#include "src/telemetry/sampler.h"
 
 namespace rvm {
 namespace {
@@ -298,15 +300,11 @@ TEST(StatsSamplerTest, RingWrapsAndCountsDrops) {
   StatsSampler::Options options;
   options.sample_capacity = 4;
   options.source = "ring-test";
-  uint64_t clock = 0;
-  StatsSampler sampler(options, [&] {
-    TimeseriesSample sample;
-    sample.timestamp_us = ++clock;
-    sample.body = "\"gauges\":{\"n\":" + std::to_string(clock) + "}";
-    return sample;
-  });
-  for (int i = 0; i < 10; ++i) {
-    sampler.SampleNow();
+  StatsSampler sampler(options);
+  for (uint64_t clock = 1; clock <= 10; ++clock) {
+    sampler.Record({.timestamp_us = clock,
+                    .body = "\"gauges\":{\"n\":" + std::to_string(clock) +
+                            "}"});
   }
   EXPECT_EQ(sampler.recorded(), 10u);
   EXPECT_EQ(sampler.dropped(), 6u);
@@ -323,129 +321,111 @@ TEST(StatsSamplerTest, RingWrapsAndCountsDrops) {
 
 TEST(StatsSamplerTest, DisabledSamplerRecordsNothing) {
   StatsSampler::Options options;  // capacity 0 = disabled
-  StatsSampler sampler(options, [] { return TimeseriesSample{}; });
+  StatsSampler sampler(options);
   EXPECT_FALSE(sampler.enabled());
-  sampler.Start();
-  sampler.SampleNow();
+  sampler.Record({.timestamp_us = 1, .body = {}});
   EXPECT_EQ(sampler.recorded(), 0u);
   EXPECT_TRUE(sampler.Samples().empty());
 }
 
-TEST(StatsSamplerTest, BackgroundThreadSamplesPeriodically) {
-  StatsSampler::Options options;
-  options.sample_capacity = 64;
-  options.sample_interval_us = 1000;  // 1 ms
-  std::atomic<uint64_t> clock{0};
-  StatsSampler sampler(options, [&] {
-    TimeseriesSample sample;
-    sample.timestamp_us = clock.fetch_add(1) + 1;
-    sample.body = "\"gauges\":{}";
-    return sample;
-  });
-  sampler.Start();
-  // Wait (bounded) for the thread to take a few samples.
-  for (int i = 0; i < 2000 && sampler.recorded() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.Stop();
-  EXPECT_GE(sampler.recorded(), 3u);
-  uint64_t after_stop = sampler.recorded();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(sampler.recorded(), after_stop);  // thread really stopped
+// ---------------------------------------------------------------------------
+// Monitor time-series lifecycle
+
+// Opens a fresh single-shard instance on `env` with a log at /log.
+std::unique_ptr<RvmInstance> OpenInstance(Env* env, RvmOptions options = {}) {
+  EXPECT_TRUE(RvmInstance::CreateLog(env, "/log", 1 << 20).ok());
+  options.env = env;
+  options.log_path = "/log";
+  auto rvm = RvmInstance::Initialize(options);
+  EXPECT_TRUE(rvm.ok()) << rvm.status().ToString();
+  return rvm.ok() ? std::move(*rvm) : nullptr;
 }
 
-// ---------------------------------------------------------------------------
-// RvmInstance lifecycle integration
-
-TEST(TimeseriesLifecycleTest, TerminateFlushesValidTimeseriesFile) {
+TEST(TimeseriesLifecycleTest, TickAfterTerminateDumpsValidTimeseries) {
   MemEnv env;
-  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
-  RvmOptions options;
-  options.env = &env;
-  options.log_path = "/log";
-  options.sample_capacity = 32;  // interval 0: manual samples only
-  auto rvm = RvmInstance::Initialize(options);
-  ASSERT_TRUE(rvm.ok());
+  std::unique_ptr<RvmInstance> rvm = OpenInstance(&env);
+  ASSERT_NE(rvm, nullptr);
+  auto monitor = RvmMonitor::Create(*rvm, &env, {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
 
   RegionDescriptor region;
   region.segment_path = "/seg";
   region.length = 2 * kPage;
-  ASSERT_TRUE((*rvm)->Map(region).ok());
+  ASSERT_TRUE(rvm->Map(region).ok());
   auto* base = static_cast<uint8_t*>(region.address);
   for (int i = 0; i < 4; ++i) {
-    Transaction txn(**rvm);
+    Transaction txn(*rvm);
     ASSERT_TRUE(txn.SetRange(base + i * 64, 32).ok());
     base[i * 64] = static_cast<uint8_t>(i);
     ASSERT_TRUE(txn.Commit().ok());
-    (*rvm)->SampleNow();
+    (*monitor)->Tick();
   }
-  ASSERT_TRUE((*rvm)->Terminate().ok());
+  ASSERT_TRUE(rvm->Terminate().ok());
+  // Terminate writes no series itself; the caller's last tick captures the
+  // terminated instance and its dump lands wherever the caller says.
+  EXPECT_FALSE(env.Exists("/log.timeseries.jsonl"));
+  (*monitor)->Tick();
+  ASSERT_TRUE((*monitor)->DumpTimeseries("/log.timeseries.jsonl").ok());
 
   std::string jsonl = ReadFileText(&env, "/log.timeseries.jsonl");
   ASSERT_FALSE(jsonl.empty());
   Status valid = ValidateTimeseriesJsonl(jsonl);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << jsonl;
-  // Terminate takes one final sample: 4 manual + 1 final.
   EXPECT_NE(jsonl.find("\"schema\":\"rvm-timeseries-v2\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"sample_interval_us\":0"), std::string::npos);
   EXPECT_NE(jsonl.find("\"log_bytes_in_use\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"transactions_committed\""), std::string::npos);
+  // 4 ticks + 1 after Terminate, one line each after the header.
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 6);
 }
 
 TEST(TimeseriesLifecycleTest, DumpTimeseriesRequiresSampling) {
   MemEnv env;
-  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
-  RvmOptions options;
-  options.env = &env;
-  options.log_path = "/log";  // sample_capacity 0: sampling disabled
-  auto rvm = RvmInstance::Initialize(options);
-  ASSERT_TRUE(rvm.ok());
+  std::unique_ptr<RvmInstance> rvm = OpenInstance(&env);
+  ASSERT_NE(rvm, nullptr);
+  auto monitor = RvmMonitor::Create(*rvm, &env, {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
 
-  Status dumped = (*rvm)->DumpTimeseries("/ts.jsonl");
+  Status dumped = (*monitor)->DumpTimeseries("/ts.jsonl");
   EXPECT_EQ(dumped.code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(env.Exists("/ts.jsonl"));
-  ASSERT_TRUE((*rvm)->Terminate().ok());
-  // No samples were ever taken, so Terminate writes no file either.
+  ASSERT_TRUE(rvm->Terminate().ok());
   EXPECT_FALSE(env.Exists("/log.timeseries.jsonl"));
 }
 
 TEST(TimeseriesLifecycleTest, ExplicitDumpWritesRequestedPath) {
   MemEnv env;
-  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
-  RvmOptions options;
-  options.env = &env;
-  options.log_path = "/log";
-  options.sample_capacity = 8;
-  auto rvm = RvmInstance::Initialize(options);
-  ASSERT_TRUE(rvm.ok());
-  (*rvm)->SampleNow();
-  (*rvm)->SampleNow();
-  ASSERT_TRUE((*rvm)->DumpTimeseries("/explicit.jsonl").ok());
+  std::unique_ptr<RvmInstance> rvm = OpenInstance(&env);
+  ASSERT_NE(rvm, nullptr);
+  auto monitor = RvmMonitor::Create(*rvm, &env, {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  (*monitor)->Tick();
+  (*monitor)->Tick();
+  ASSERT_TRUE((*monitor)->DumpTimeseries("/explicit.jsonl").ok());
   std::string jsonl = ReadFileText(&env, "/explicit.jsonl");
   Status valid = ValidateTimeseriesJsonl(jsonl);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << jsonl;
 }
 
-// Poison must flush the ring even with the event ring disabled (the
-// timeseries dump is independent of the flight recorder), and must not take
-// a new sample (the poisoning thread may hold instance locks).
-TEST(TimeseriesLifecycleTest, PoisonFlushesRingWithTraceDisabled) {
+// Poison no longer writes a series: that is the monitor's job, and a
+// poisoned instance can still be introspected, so the caller can tick and
+// dump after the failure — with the event ring off, too.
+TEST(TimeseriesLifecycleTest, TickAndDumpAfterPoisonWithTraceDisabled) {
   MemEnv mem;
   FaultInjectionEnv env(&mem);
-  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", 1 << 20).ok());
   RvmOptions options;
-  options.env = &env;
-  options.log_path = "/log";
   options.span_ring_capacity = 0;  // no flight recorder
-  options.sample_capacity = 8;
-  auto rvm = RvmInstance::Initialize(options);
-  ASSERT_TRUE(rvm.ok());
+  std::unique_ptr<RvmInstance> rvm = OpenInstance(&env, options);
+  ASSERT_NE(rvm, nullptr);
+  auto monitor = RvmMonitor::Create(*rvm, &mem, {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
 
   RegionDescriptor region;
   region.segment_path = "/seg";
   region.length = 2 * kPage;
-  ASSERT_TRUE((*rvm)->Map(region).ok());
+  ASSERT_TRUE(rvm->Map(region).ok());
   auto* base = static_cast<uint8_t*>(region.address);
-  (*rvm)->SampleNow();
+  (*monitor)->Tick();
 
   FaultSpec spec;
   spec.op = FaultOp::kSync;
@@ -453,17 +433,21 @@ TEST(TimeseriesLifecycleTest, PoisonFlushesRingWithTraceDisabled) {
   spec.path_substring = "/log";
   env.InjectFault(spec);
 
-  auto tid = (*rvm)->BeginTransaction(RestoreMode::kNoRestore);
+  auto tid = rvm->BeginTransaction(RestoreMode::kNoRestore);
   ASSERT_TRUE(tid.ok());
-  ASSERT_TRUE((*rvm)->SetRange(*tid, base, 64).ok());
+  ASSERT_TRUE(rvm->SetRange(*tid, base, 64).ok());
   base[0] = 1;
-  ASSERT_FALSE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
+  ASSERT_FALSE(rvm->EndTransaction(*tid, CommitMode::kFlush).ok());
+  ASSERT_TRUE(rvm->poisoned());
+  EXPECT_FALSE(mem.Exists("/log.timeseries.jsonl"));
 
-  // Poisoned: the pre-fault sample ring landed on disk and validates.
+  (*monitor)->Tick();
+  ASSERT_TRUE((*monitor)->DumpTimeseries("/log.timeseries.jsonl").ok());
   std::string jsonl = ReadFileText(&mem, "/log.timeseries.jsonl");
   ASSERT_FALSE(jsonl.empty());
   Status valid = ValidateTimeseriesJsonl(jsonl);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << jsonl;
+  EXPECT_NE(jsonl.find("\"poisoned\":1"), std::string::npos) << jsonl;
 }
 
 }  // namespace

@@ -61,15 +61,6 @@ TEST(ValidateOptionsTest, LogShardsBounds) {
   EXPECT_TRUE(ValidateOptions(options).ok());
 }
 
-TEST(ValidateOptionsTest, SamplingIntervalNeedsCapacity) {
-  RvmOptions options = BaseOptions();
-  options.sample_interval_us = 1000;
-  options.sample_capacity = 0;
-  EXPECT_EQ(ValidateOptions(options).code(), ErrorCode::kInvalidArgument);
-  options.sample_capacity = 16;
-  EXPECT_TRUE(ValidateOptions(options).ok());
-}
-
 TEST(ValidateOptionsTest, GroupCommitKnobs) {
   RvmOptions options = BaseOptions();
   options.runtime.group_commit_max_batch = 0;

@@ -34,7 +34,8 @@
 //                                          workload: the OpenMetrics
 //                                          exposition (DESIGN.md §16) or,
 //                                          with --gauges, the gauge table
-//                                          (§11); --port=N serves real
+//                                          (§11), ticking an RvmMonitor each
+//                                          refresh; --port=N serves real
 //                                          /metrics and /healthz endpoints,
 //                                          --rules=FILE arms the SLO engine,
 //                                          --spans=FILE / --chrome=FILE
@@ -70,14 +71,15 @@
 #include <vector>
 
 #include "src/check/crash_explorer.h"
+#include "src/monitor/metrics.h"
+#include "src/monitor/monitor.h"
+#include "src/monitor/slo.h"
 #include "src/os/fault_env.h"
 #include "src/os/file.h"
 #include "src/rvm/checksum_map.h"
 #include "src/rvm/log_device.h"
 #include "src/rvm/rvm.h"
 #include "src/telemetry/json.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/slo.h"
 #include "src/util/crc32.h"
 #include "src/util/interval_set.h"
 
@@ -586,8 +588,8 @@ int CmdCheckJson(const std::string& path) {
 }
 
 // `rvmutl check-metrics FILE`: lint an OpenMetrics exposition — a /metrics
-// response body or a metrics_export_path file — with the in-tree validator
-// (src/telemetry/metrics.h). CI's smoke job curls /metrics into a file and
+// response body or a monitor export file — with the in-tree validator
+// (src/monitor/metrics.h). CI's smoke job curls /metrics into a file and
 // runs this over it. Exit codes match check-json: 0 valid, 1 invalid,
 // 2 file error.
 int CmdCheckMetrics(const std::string& path) {
@@ -789,11 +791,9 @@ struct ScratchWorkload {
   }
 };
 
-// Creates the scratch log, opens the instance with the caller's
-// observability knobs (log_path/log_shards are filled in here, and
-// metrics_export_path points at <log>.metrics so the sampler tick rewrites
-// the file exposition atomically), maps the regions and launches the
-// workers, which stop after `txns` commits in total (0 = until stopped).
+// Creates the scratch log, opens the instance with the caller's options
+// (log_path/log_shards are filled in here), maps the regions and launches
+// the workers, which stop after `txns` commits in total (0 = until stopped).
 // Prints the failure and returns nonzero on error.
 int StartScratchWorkload(unsigned threads, uint32_t shards, uint64_t txns,
                          RvmOptions options, RestoreMode restore_mode,
@@ -814,7 +814,6 @@ int StartScratchWorkload(unsigned threads, uint32_t shards, uint64_t txns,
   }
   options.log_path = scratch->log_path;
   options.log_shards = shards;
-  options.metrics_export_path = scratch->log_path + ".metrics";
   auto rvm = RvmInstance::Initialize(options);
   if (!rvm.ok()) {
     std::fprintf(stderr, "init: %s\n", rvm.status().ToString().c_str());
@@ -910,13 +909,15 @@ void PrintExposition(const std::string& exposition, const std::string& filter,
 }
 
 // `rvmutl watch`: drive the scratch workload and periodically render its
-// live state — by default the instance's /metrics exposition (DESIGN.md
-// §16) and /healthz verdict, with --gauges the gauge table (DESIGN.md §11).
-// With --port=N the instance serves the real HTTP endpoints too (N=0 picks
-// an ephemeral port, printed in the header), so an operator can curl a live
-// /metrics while the workload runs; --rules=FILE arms the SLO engine, and a
-// firing rule flips the health line to 503 in real time; --fault-shard=K
-// runs the chaos schedule below. --spans=FILE / --chrome=FILE export the
+// live state through an RvmMonitor (DESIGN.md §16) — by default the
+// /metrics exposition and /healthz verdict, with --gauges the gauge table
+// (DESIGN.md §11). Each refresh ticks the monitor once: one time-series
+// sample, one SLO pass, and a rewrite of <log>.metrics. With --port=N the
+// monitor serves the real HTTP endpoints too (N=0 picks an ephemeral port,
+// printed in the header), so an operator can curl a live /metrics while
+// the workload runs; --rules=FILE arms the SLO engine, and a firing rule
+// flips the health line to 503 on the next refresh; --fault-shard=K runs
+// the chaos schedule below. --spans=FILE / --chrome=FILE export the
 // event ring (DESIGN.md §15) as rvm-spans-v1 JSONL / a Chrome trace with
 // every commit's span tree (--sample=N, default 1) and slow-commit outliers
 // (--slow-us=N). --txns=N stops after N commits instead of --duration-ms.
@@ -999,13 +1000,6 @@ int CmdWatch(int argc, char** argv) {
                  "below the count (fault containment is per shard)\n");
     return 2;
   }
-  if (chaos && port_set) {
-    // The HTTP listener is gated to the unwrapped real env; chaos mode runs
-    // on a fault-injection wrapper, so the two are mutually exclusive.
-    std::fprintf(stderr,
-                 "watch: --fault-shard and --port cannot be combined\n");
-    return 2;
-  }
   const bool export_spans = !spans_path.empty() || !chrome_path.empty();
   if (export_spans && sample == 0 && slow_us == 0) {
     std::fprintf(stderr,
@@ -1027,12 +1021,6 @@ int CmdWatch(int argc, char** argv) {
   FaultInjectionEnv fault_env(GetRealEnv());
   ScratchWorkload scratch;
   RvmOptions options;
-  options.sample_capacity = 4096;
-  options.sample_interval_us = interval_ms * 1000;
-  options.slo_rules = rules_text;
-  if (port_set) {
-    options.metrics_http_port = port;
-  }
   if (chaos) {
     options.env = &fault_env;
   }
@@ -1054,6 +1042,19 @@ int CmdWatch(int argc, char** argv) {
     return started;
   }
   const std::string metrics_path = scratch.log_path + ".metrics";
+  // Declared after `scratch`, so it is destroyed (stopping the listener)
+  // before the instance it watches.
+  MonitorOptions monitor_options;
+  monitor_options.export_path = metrics_path;
+  monitor_options.http_port = port_set ? port : -1;
+  monitor_options.slo_rules = rules_text;
+  StatusOr<std::unique_ptr<RvmMonitor>> created =
+      RvmMonitor::Create(*scratch.rvm, /*env=*/nullptr, monitor_options);
+  if (!created.ok()) {
+    std::fprintf(stderr, "monitor: %s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  RvmMonitor& monitor = **created;
 
   Env* env = GetRealEnv();
   const uint64_t start_us = env->NowMicros();
@@ -1094,6 +1095,7 @@ int CmdWatch(int argc, char** argv) {
                    (repaired.ok() ? std::string("ok") : repaired.ToString()) +
                    "\n";
     }
+    monitor.Tick();
     if (tty) {
       std::printf("\033[2J\033[H");  // clear screen, home cursor
     }
@@ -1101,24 +1103,23 @@ int CmdWatch(int argc, char** argv) {
                 static_cast<unsigned long long>(scratch.committed.load()),
                 static_cast<unsigned long long>(++refreshes),
                 static_cast<unsigned long long>(interval_ms));
-    if (scratch.rvm->metrics_port() >= 0) {
-      std::printf(" — http://127.0.0.1:%d/metrics",
-                  scratch.rvm->metrics_port());
+    if (monitor.port() >= 0) {
+      std::printf(" — http://127.0.0.1:%d/metrics", monitor.port());
     }
     std::printf("\n%s", chaos_note.c_str());
     if (gauges_view) {
       std::printf("%s", FormatGauges(scratch.rvm->Introspect()).c_str());
     } else {
       std::string health_body;
-      const int health = scratch.rvm->Healthz(&health_body);
+      const int health = monitor.Healthz(&health_body);
       std::printf("healthz %d %s", health, health_body.c_str());
-      PrintExposition(scratch.rvm->RenderMetrics(), filter, limit);
+      PrintExposition(monitor.RenderMetrics(), filter, limit);
     }
     std::fflush(stdout);
   }
 
   scratch.StopWorkers();
-  const std::string final_exposition = scratch.rvm->RenderMetrics();
+  const std::string final_exposition = monitor.RenderMetrics();
   Status lint = ValidateOpenMetrics(final_exposition);
   if (export_spans) {
     const RvmGauges gauges = scratch.rvm->Introspect();
@@ -1152,6 +1153,15 @@ int CmdWatch(int argc, char** argv) {
     std::fprintf(stderr, "terminate: %s\n", terminated.ToString().c_str());
     return 1;
   }
+  // One last sample captures the terminated instance; the series lands
+  // next to the log, where `rvmutl slo --replay` and CI look for it.
+  monitor.Tick();
+  const std::string series_path = scratch.log_path + ".timeseries.jsonl";
+  Status dumped = monitor.DumpTimeseries(series_path);
+  if (!dumped.ok()) {
+    std::fprintf(stderr, "timeseries: %s\n", dumped.ToString().c_str());
+    return 1;
+  }
   if (!lint.ok()) {
     std::fprintf(stderr, "INVALID exposition: %s\n", lint.ToString().c_str());
     return 1;
@@ -1163,8 +1173,7 @@ int CmdWatch(int argc, char** argv) {
               static_cast<unsigned long long>(scratch.committed.load()),
               final_exposition.size());
   std::printf("metrics exported to %s\n", metrics_path.c_str());
-  std::printf("time series dumped to %s.timeseries.jsonl\n",
-              scratch.log_path.c_str());
+  std::printf("time series dumped to %s\n", series_path.c_str());
   return 0;
 }
 
@@ -2050,7 +2059,8 @@ constexpr CommandSpec kCommands[] = {
      "--shards=N (adds cross-shard 2PC commits)\n"
      "--limit=N --filter=SUBSTR --port=N (serve\n"
      "/metrics + /healthz; 0 picks an ephemeral\n"
-     "port) --rules=FILE (arm the SLO engine)\n"
+     "port) --rules=FILE (arm the SLO engine,\n"
+     "evaluated once per --interval-ms refresh)\n"
      "--fault-shard=K --fault-after-ms=N (chaos:\n"
      "quarantine shard K mid-run, then repair it)\n"
      "--spans=FILE (rvm-spans-v1 JSONL)\n"
@@ -2070,7 +2080,7 @@ constexpr CommandSpec kCommands[] = {
      RunCheckJson},
     {"check-metrics", false, "FILE",
      "lint an OpenMetrics exposition (a /metrics\n"
-     "body or metrics_export_path file)",
+     "body or a monitor export file)",
      RunCheckMetrics},
     {"slo", false, "--rules=FILE [--replay=FILE]",
      "parse SLO rules; with --replay, re-run them\n"
