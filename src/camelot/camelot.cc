@@ -128,11 +128,14 @@ StatusOr<void*> CamelotEngine::MapRegion(const std::string& segment_path,
   // Replay committed records for this segment into the file image, then load
   // the memory image from it (latest committed value wins).
   RVM_RETURN_IF_ERROR(log_->ExtendTailForward().status());
-  RVM_ASSIGN_OR_RETURN(std::vector<uint64_t> offsets, log_->CollectRecordOffsets());
   IntervalSet covered;
-  for (uint64_t offset : offsets) {
-    RVM_ASSIGN_OR_RETURN(OwnedRecord record, log_->ReadRecordAt(offset));
-    for (const RangeView& range : record.parsed.ranges) {
+  LogDevice::LiveRecords walk(*log_);
+  for (;;) {
+    RVM_ASSIGN_OR_RETURN(const OwnedRecord* record, walk.Next());
+    if (record == nullptr) {
+      break;
+    }
+    for (const RangeView& range : record->parsed.ranges) {
       if (range.segment != id) {
         continue;
       }

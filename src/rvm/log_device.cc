@@ -1,6 +1,7 @@
 #include "src/rvm/log_device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/logging.h"
 
@@ -247,7 +248,6 @@ Status LogDevice::SyncWithReopenRetry() {
 }
 
 Status LogDevice::WriteRaw(uint64_t offset, std::span<const uint8_t> bytes) {
-  bytes_appended_ += bytes.size();
   Status status = WriteAtRetry(offset, bytes);
   if (!status.ok()) {
     // A failed append write leaves the device in an unknown state (the
@@ -298,7 +298,6 @@ StatusOr<uint64_t> LogDevice::AppendTransaction(
   status_.last_record_offset = offset;
   status_.tail = offset + record.size();
   ++status_.tail_seqno;
-  ++records_appended_;
   appended_lsn_.fetch_add(1, std::memory_order_release);
   return offset;
 }
@@ -353,8 +352,7 @@ Status LogDevice::WriteStatus() {
   return OkStatus();
 }
 
-StatusOr<OwnedRecord> LogDevice::ReadRecordAt(uint64_t offset) {
-  OwnedRecord record;
+Status LogDevice::ReadRecordAt(uint64_t offset, OwnedRecord& record) {
   record.offset = offset;
   record.bytes.resize(kRecordHeaderSize);
   RVM_ASSIGN_OR_RETURN(size_t n, ReadFullyRetry(offset, record.bytes));
@@ -380,12 +378,13 @@ StatusOr<OwnedRecord> LogDevice::ReadRecordAt(uint64_t offset) {
     }
   }
   RVM_ASSIGN_OR_RETURN(record.parsed, ParseRecord(record.bytes));
-  return record;
+  return OkStatus();
 }
 
 StatusOr<uint64_t> LogDevice::ExtendTailForward() {
   uint64_t found = 0;
   uint64_t scanned = 0;
+  OwnedRecord record;
   while (scanned < capacity()) {
     if (status_.log_size - status_.tail < kRecordHeaderSize) {
       // Too little room for any record: writers wrap implicitly here.
@@ -393,16 +392,9 @@ StatusOr<uint64_t> LogDevice::ExtendTailForward() {
       status_.tail = kLogDataStart;
       continue;
     }
-    StatusOr<OwnedRecord> record = ReadRecordAt(status_.tail);
-    if (!record.ok()) {
-      // Unreadable bytes at the expected position: either a torn final
-      // append (expected after a crash — stop here and truncate) or media
-      // corruption of a committed record. Writes persist in order, so if
-      // any valid record elsewhere in the area carries this or a later
-      // sequence number, the unreadable record must once have been durable:
-      // that is corruption of committed data, and silently truncating would
-      // discard committed transactions.
-      RVM_ASSIGN_OR_RETURN(std::vector<uint64_t> successors,
+    if (!ReadRecordAt(status_.tail, record).ok()) {
+      // A torn tail, or lost committed data if a later record survives.
+      RVM_ASSIGN_OR_RETURN(std::vector<ScannedRecord> successors,
                            ScanForRecords(status_.tail_seqno, 1));
       if (!successors.empty()) {
         return Corruption(
@@ -414,31 +406,31 @@ StatusOr<uint64_t> LogDevice::ExtendTailForward() {
       }
       break;  // torn or unwritten tail: the true end of the log
     }
-    if (record->parsed.header.seqno != status_.tail_seqno) {
-      if (record->parsed.header.seqno > status_.tail_seqno) {
+    if (record.parsed.header.seqno != status_.tail_seqno) {
+      if (record.parsed.header.seqno > status_.tail_seqno) {
         return Corruption(
             "log sequence gap at offset " + std::to_string(status_.tail) +
             ": expected seqno " + std::to_string(status_.tail_seqno) +
-            ", found " + std::to_string(record->parsed.header.seqno));
+            ", found " + std::to_string(record.parsed.header.seqno));
       }
       break;  // stale record from a previous trip around the area
     }
     status_.last_record_offset = status_.tail;
     ++status_.tail_seqno;
     ++found;
-    if (record->parsed.header.type == RecordType::kWrapFiller) {
+    if (record.parsed.header.type == RecordType::kWrapFiller) {
       scanned += status_.log_size - status_.tail;
       status_.tail = kLogDataStart;
     } else {
-      scanned += record->bytes.size();
-      status_.tail += record->bytes.size();
+      scanned += record.bytes.size();
+      status_.tail += record.bytes.size();
     }
   }
   return found;
 }
 
-StatusOr<std::vector<uint64_t>> LogDevice::ScanForRecords(uint64_t min_seqno,
-                                                          size_t max_results) {
+StatusOr<std::vector<ScannedRecord>> LogDevice::ScanForRecords(
+    uint64_t min_seqno, size_t max_results) {
   // Stale records from earlier trips around the circular area always carry
   // sequence numbers below the current tail_seqno, so filtering on
   // min_seqno makes this scan safe to run over the whole area.
@@ -450,67 +442,64 @@ StatusOr<std::vector<uint64_t>> LogDevice::ScanForRecords(uint64_t min_seqno,
   };
   constexpr uint64_t kChunk = 64 * 1024;
   std::vector<uint8_t> buffer(kChunk + sizeof(magic_bytes) - 1);
-  std::vector<uint64_t> offsets;
-  for (uint64_t chunk_start = kLogDataStart;
-       chunk_start < status_.log_size && offsets.size() < max_results;
+  std::vector<ScannedRecord> found;
+  OwnedRecord record;
+  for (uint64_t chunk_start = kLogDataStart; chunk_start < status_.log_size;
        chunk_start += kChunk) {
     // Overlap reads by 3 bytes so a magic straddling a chunk boundary is
     // still seen (match starts are restricted to the first kChunk bytes, so
     // the overlap never yields a duplicate).
-    uint64_t want = std::min<uint64_t>(buffer.size(),
-                                       status_.log_size - chunk_start);
-    RVM_ASSIGN_OR_RETURN(
-        size_t n,
-        file_->ReadAt(chunk_start, std::span<uint8_t>(buffer).subspan(0, want)));
-    if (n < sizeof(magic_bytes)) {
-      break;
+    const std::span<uint8_t> chunk = std::span<uint8_t>(buffer).subspan(
+        0, std::min<uint64_t>(buffer.size(), status_.log_size - chunk_start));
+    RVM_ASSIGN_OR_RETURN(size_t n, ReadFullyRetry(chunk_start, chunk));
+    if (n != chunk.size()) {  // not the end of the area: Open checked the size
+      return IoError("short read scanning the log area at offset " +
+                     std::to_string(chunk_start));
     }
-    for (size_t i = 0; i + sizeof(magic_bytes) <= n && i < kChunk &&
-                       offsets.size() < max_results;
-         ++i) {
+    for (size_t i = 0; i + sizeof(magic_bytes) <= n && i < kChunk; ++i) {
       if (buffer[i] != magic_bytes[0] || buffer[i + 1] != magic_bytes[1] ||
           buffer[i + 2] != magic_bytes[2] || buffer[i + 3] != magic_bytes[3]) {
         continue;
       }
-      uint64_t candidate = chunk_start + i;
-      StatusOr<OwnedRecord> record = ReadRecordAt(candidate);
-      if (record.ok() && record->parsed.header.seqno >= min_seqno) {
-        offsets.push_back(candidate);
+      if (i + kRecordHeaderSize <= n) {
+        // ReadRecordAt would judge these same header bytes first.
+        StatusOr<RecordHeader> header =
+            PeekRecordHeader(chunk.subspan(i, kRecordHeaderSize));
+        if (!header.ok() || header->seqno < min_seqno) {
+          continue;
+        }
+      }
+      const uint64_t candidate = chunk_start + i;
+      if (ReadRecordAt(candidate, record).ok() &&
+          record.parsed.header.seqno >= min_seqno) {
+        found.push_back({candidate, record.parsed.header});
+        if (found.size() >= max_results) {
+          return found;
+        }
       }
     }
   }
-  return offsets;
+  return found;
 }
 
-bool LogDevice::InLiveRange(uint64_t offset) const {
-  if (offset < kLogDataStart || offset >= status_.log_size) {
-    return false;
+StatusOr<const OwnedRecord*> LogDevice::LiveRecords::Next() {
+  const uint64_t offset = std::exchange(next_offset_, 0);  // errors end it
+  // Live records lie in [head, tail), in circular order; 0 ends a chain.
+  const LogStatusBlock& status = log_.status();
+  const bool live = status.head <= status.tail
+                        ? offset >= status.head && offset < status.tail
+                        : offset >= status.head || offset < status.tail;
+  if (!live || offset < kLogDataStart || offset >= status.log_size) {
+    return nullptr;
   }
-  if (status_.head == status_.tail) {
-    return false;  // empty
+  if (budget_-- == 0) {
+    return Corruption("record reverse displacement chain loops");
   }
-  if (status_.head < status_.tail) {
-    return offset >= status_.head && offset < status_.tail;
+  RVM_RETURN_IF_ERROR(log_.ReadRecordAt(offset, record_));
+  if (offset != status.head) {  // the head is the oldest live record
+    next_offset_ = record_.parsed.header.prev_offset;
   }
-  return offset >= status_.head || offset < status_.tail;
-}
-
-StatusOr<std::vector<uint64_t>> LogDevice::CollectRecordOffsets() {
-  std::vector<uint64_t> offsets;
-  const uint64_t max_records = capacity() / kRecordHeaderSize + 1;
-  uint64_t offset = status_.last_record_offset;
-  while (offset != 0 && InLiveRange(offset)) {
-    offsets.push_back(offset);
-    if (offsets.size() > max_records) {
-      return Corruption("record reverse displacement chain loops");
-    }
-    if (offset == status_.head) {
-      break;  // reached the oldest live record
-    }
-    RVM_ASSIGN_OR_RETURN(OwnedRecord record, ReadRecordAt(offset));
-    offset = record.parsed.header.prev_offset;
-  }
-  return offsets;
+  return &record_;
 }
 
 void LogDevice::MarkEmpty() {

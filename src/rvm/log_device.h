@@ -2,10 +2,11 @@
 //
 // Responsibilities: formatting a new log (create_log, §4.2), atomically
 // maintaining the duplicated status block, appending records with wraparound
-// handling and free-space accounting, forcing the log, and the two scans
-// recovery and truncation need — a forward validity scan that discovers
-// records beyond the last durable tail pointer, and a backward walk over the
-// reverse-displacement chain (Figure 5).
+// handling and free-space accounting, forcing the log, and the two scans: a
+// forward validity scan that finds records past the last durable tail pointer
+// (probing the whole area, with retried reads, whenever the tail record is
+// unreadable, as on any log not yet wrapped), and LiveRecords, the one
+// backward walk over the reverse-displacement chain (Figure 5).
 //
 // LogDevice knows nothing about transactions or segments-in-memory; it deals
 // purely in encoded records. Synchronization is the caller's job (RvmInstance
@@ -40,6 +41,12 @@ struct OwnedRecord {
   uint64_t offset = 0;  // absolute log offset of the record header
   std::vector<uint8_t> bytes;
   ParsedRecord parsed;
+};
+
+// A valid record found by LogDevice::ScanForRecords.
+struct ScannedRecord {
+  uint64_t offset = 0;
+  RecordHeader header;
 };
 
 class LogDevice {
@@ -111,8 +118,8 @@ class LogDevice {
   // outstanding this forces them first.
   Status WriteStatus();
 
-  // Reads and validates the record at `offset`.
-  StatusOr<OwnedRecord> ReadRecordAt(uint64_t offset);
+  // Reads and validates the record at `offset` into `record`, reusing it.
+  Status ReadRecordAt(uint64_t offset, OwnedRecord& record);
 
   // Forward validity scan from the in-memory tail: extends tail, tail_seqno
   // and last_record_offset past any records that were forced after the
@@ -130,28 +137,35 @@ class LogDevice {
   StatusOr<uint64_t> ExtendTailForward();
 
   // Scans the entire record area for valid records whose seqno is at least
-  // `min_seqno`, regardless of the status block's head/tail. Returns their
-  // absolute offsets (at most `max_results`), in ascending offset order.
-  // Used by ExtendTailForward's corruption probe and by `rvmutl LOG verify`
-  // to build a salvage report.
-  StatusOr<std::vector<uint64_t>> ScanForRecords(uint64_t min_seqno,
-                                                 size_t max_results);
+  // `min_seqno`, regardless of the status block's head/tail. Returns each
+  // hit's offset and header (at most `max_results`), in ascending offset
+  // order. Used by ExtendTailForward's corruption probe and by `rvmutl LOG
+  // verify` to build a salvage report.
+  StatusOr<std::vector<ScannedRecord>> ScanForRecords(uint64_t min_seqno,
+                                                      size_t max_results);
 
-  // Walks the reverse-displacement chain from the newest record down to the
-  // head. Returns record offsets newest-first (wrap fillers included).
-  StatusOr<std::vector<uint64_t>> CollectRecordOffsets();
+  // The newest-first walk over the live log along the reverse-displacement
+  // chain (Figure 5), and the only reader of prev_offset: from the newest
+  // record through the one at the head, wrap fillers included, then nullptr.
+  // Records share one buffer, valid until the next Next(). A read error, or
+  // kCorruption for a looping chain, ends the walk. The log must not change.
+  class LiveRecords {
+   public:
+    explicit LiveRecords(LogDevice& log) : log_(log) {}
+    StatusOr<const OwnedRecord*> Next();
 
-  // True if `offset` lies within the live area [head, tail) in circular
-  // order.
-  bool InLiveRange(uint64_t offset) const;
+   private:
+    LogDevice& log_;
+    uint64_t next_offset_ = log_.status().last_record_offset;  // 0: over
+    uint64_t budget_ = log_.capacity() / kRecordHeaderSize + 1;  // loop guard
+    OwnedRecord record_;
+  };
 
   // Declares the log empty at the current tail position (after truncation or
   // recovery has applied everything): head = tail, chain restarts.
   void MarkEmpty();
 
   // Statistics for benchmarks and Table 2.
-  uint64_t bytes_appended() const { return bytes_appended_; }
-  uint64_t records_appended() const { return records_appended_; }
   uint64_t syncs() const { return syncs_; }
 
   // Transient-error retry (DESIGN.md §13). Failures carrying kUnavailable
@@ -221,8 +235,6 @@ class LogDevice {
   LogStatusBlock status_;
   std::atomic<uint64_t> appended_lsn_{0};
   std::atomic<uint64_t> durable_lsn_{0};
-  uint64_t bytes_appended_ = 0;
-  uint64_t records_appended_ = 0;
   uint64_t syncs_ = 0;
   RetryPolicy retry_;
   std::atomic<uint64_t> retries_{0};

@@ -438,16 +438,16 @@ class RvmInstance {
   // decision records. A coordinator must not durably forget an outcome
   // while a participant's only evidence (its unforced commit marker) is
   // still volatile; truncation and repair call this before MarkEmpty/head
-  // moves. Takes each sibling's log_mu one at a time. Repair calls it
-  // without `shard`'s log_mu; the truncation paths still hold it, which
-  // cannot deadlock because every multi-log-lock path runs under
-  // state_mu_ (held here), but is not the ascending order.
+  // moves. Takes each sibling's log_mu one at a time, so callers must not
+  // hold `shard`'s (IntrospectLocked takes them all in ascending order).
   Status ForceSiblingEvidenceLocked(LogShard& shard);
   // Epoch-truncates every shard (Truncate(), Unmap()).
   Status TruncateAllEpochLocked();
   Status MaybeTruncateLocked();
   Status IncrementalTruncateLocked(LogShard& shard);
-  Status IncrementalTruncateBothLocked(LogShard& shard, bool* epoch_fallback);
+  // Releases `log_lock` (shard.log_mu) around the sibling-log force.
+  Status IncrementalTruncateBothLocked(
+      LogShard& shard, std::unique_lock<std::mutex>& log_lock, bool* epoch_fallback);
   bool NeedsTruncationLocked(const LogShard& shard) const;
   bool AnyNeedsTruncationLocked() const;
   void TruncationThreadMain();

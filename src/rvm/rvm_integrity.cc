@@ -105,27 +105,18 @@ StatusOr<bool> RvmInstance::TryRepairPageFromLogBothLocked(
   const uint64_t target_end = target_start + page_len;
   std::vector<uint8_t> image(page_size_, 0);
   IntervalSet covered;
-  const uint64_t max_records = shard.log->capacity() / kRecordHeaderSize + 1;
-  uint64_t walked = 0;
-  uint64_t offset = shard.log->status().last_record_offset;
-  while (offset != 0 && shard.log->InLiveRange(offset) &&
-         covered.total_length() < page_len) {
-    if (++walked > max_records) {
-      return Corruption("record reverse displacement chain loops");
+  LogDevice::LiveRecords walk(*shard.log);
+  while (covered.total_length() < page_len) {
+    RVM_ASSIGN_OR_RETURN(const OwnedRecord* next, walk.Next());
+    if (next == nullptr) {
+      break;
     }
-    RVM_ASSIGN_OR_RETURN(OwnedRecord record, shard.log->ReadRecordAt(offset));
-    const uint64_t record_offset = offset;
-    offset = (record_offset == shard.log->status().head)
-                 ? 0
-                 : record.parsed.header.prev_offset;
-    if (record.parsed.header.type == RecordType::kWrapFiller) {
+    const ParsedRecord& record = next->parsed;  // a filler has no ranges
+    if ((record.header.flags & kRecordFlagShardPrepare) &&
+        aborted_gtids_.contains(record.header.tid)) {
       continue;
     }
-    if ((record.parsed.header.flags & kRecordFlagShardPrepare) &&
-        aborted_gtids_.contains(record.parsed.header.tid)) {
-      continue;
-    }
-    for (const RangeView& range : record.parsed.ranges) {
+    for (const RangeView& range : record.ranges) {
       if (range.segment != id) {
         continue;
       }

@@ -50,38 +50,31 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
   // checksum-map refresh below (DESIGN.md §14).
   std::map<SegmentId, IntervalSet> written;
   std::set<File*> touched;
-  const uint64_t max_records = shard.log->capacity() / kRecordHeaderSize + 1;
-  uint64_t walked = 0;
-  uint64_t offset = shard.log->status().last_record_offset;
-  while (offset != 0 && shard.log->InLiveRange(offset)) {
-    if (++walked > max_records) {
-      return Corruption("record reverse displacement chain loops");
+  LogDevice::LiveRecords walk(*shard.log);
+  for (;;) {
+    StatusOr<const OwnedRecord*> next = walk.Next();
+    if (!next.ok()) {
+      // Damage inside the live range is media corruption, never a torn
+      // tail: fail stop this shard; the head must not pass unapplied data.
+      PoisonShard(shard, next.status());
+      return next.status();
     }
-    StatusOr<OwnedRecord> record_or = shard.log->ReadRecordAt(offset);
-    if (!record_or.ok()) {
-      // An unreadable record inside the live (committed, durable) range is
-      // media corruption, never a torn tail: fail stop this shard's fault
-      // domain, do not advance the head past data that was never applied.
-      PoisonShard(shard, record_or.status());
-      return record_or.status();
+    if (*next == nullptr) {
+      break;
     }
-    OwnedRecord record = std::move(*record_or);
-    uint64_t record_offset = offset;
-    offset = (record_offset == shard.log->status().head)
-                 ? 0  // oldest live record processed: stop after this one
-                 : record.parsed.header.prev_offset;
-    if (record.parsed.header.type == RecordType::kWrapFiller) {
+    const ParsedRecord& record = (*next)->parsed;
+    if (record.header.type == RecordType::kWrapFiller) {
       continue;
     }
-    if (record.parsed.header.flags & kRecordFlagShardPrepare) {
+    if (record.header.flags & kRecordFlagShardPrepare) {
       // 2PC prepare: apply only if the transaction is decided. With no
       // decided set (live truncation) every in-log prepare is decided
       // unless the instance aborted it — 2PC runs to a verdict before the
       // commit call returns, and recovery discards undecided prepares
       // before any live processing starts.
       const bool committed = decided != nullptr
-                                 ? decided->contains(record.parsed.header.tid)
-                                 : !aborted_gtids_.contains(record.parsed.header.tid);
+                                 ? decided->contains(record.header.tid)
+                                 : !aborted_gtids_.contains(record.header.tid);
       if (!committed) {
         continue;
       }
@@ -89,7 +82,7 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
     cpu_.Fixed(cpu_.model().truncation_record_us);
     ++*records_applied;
     const uint64_t record_start_us = env_->NowMicros();
-    for (const RangeView& range : record.parsed.ranges) {
+    for (const RangeView& range : record.ranges) {
       IntervalSet& seg_covered = covered[range.segment];
       uint64_t range_end = range.offset + range.data.size();
       for (const Interval& piece : seg_covered.Uncovered(range.offset, range_end)) {
@@ -141,28 +134,24 @@ Status RvmInstance::ApplyLogToSegmentsBothLocked(
 Status RvmInstance::CollectShardTidSetsBothLocked(
     LogShard& shard, std::set<TransactionId>* prepared,
     std::set<TransactionId>* decided) {
-  const uint64_t max_records = shard.log->capacity() / kRecordHeaderSize + 1;
-  uint64_t walked = 0;
-  uint64_t offset = shard.log->status().last_record_offset;
-  while (offset != 0 && shard.log->InLiveRange(offset)) {
-    if (++walked > max_records) {
-      return Corruption("record reverse displacement chain loops");
+  LogDevice::LiveRecords walk(*shard.log);
+  for (;;) {
+    StatusOr<const OwnedRecord*> next = walk.Next();
+    if (!next.ok()) {
+      PoisonShard(shard, next.status());
+      return next.status();
     }
-    StatusOr<OwnedRecord> record_or = shard.log->ReadRecordAt(offset);
-    if (!record_or.ok()) {
-      PoisonShard(shard, record_or.status());
-      return record_or.status();
+    if (*next == nullptr) {
+      return OkStatus();
     }
-    const RecordHeader& header = record_or->parsed.header;
+    const RecordHeader& header = (*next)->parsed.header;
     if (header.flags & kRecordFlagShardPrepare) {
       prepared->insert(header.tid);
     }
     if (header.flags & (kRecordFlagShardDecision | kRecordFlagShardCommit)) {
       decided->insert(header.tid);
     }
-    offset = (offset == shard.log->status().head) ? 0 : header.prev_offset;
   }
-  return OkStatus();
 }
 
 Status RvmInstance::RecoverShardBothLocked(
@@ -328,9 +317,19 @@ Status RvmInstance::RecoverLocked() {
 
 Status RvmInstance::ArchiveLiveLogBothLocked(LogShard& shard) {
   // The archive is itself a formatted log whose records are the live
-  // records, oldest first — rvmutl reads it like any other log.
-  RVM_ASSIGN_OR_RETURN(std::vector<uint64_t> offsets,
-                       shard.log->CollectRecordOffsets());
+  // records, oldest first — rvmutl reads it like any other log. The walk is
+  // newest-first, so it collects offsets to read back in archive order.
+  std::vector<uint64_t> offsets;
+  LogDevice::LiveRecords walk(*shard.log);
+  for (;;) {
+    RVM_ASSIGN_OR_RETURN(const OwnedRecord* record, walk.Next());
+    if (record == nullptr) {
+      break;
+    }
+    if (record->parsed.header.type != RecordType::kWrapFiller) {
+      offsets.push_back(record->offset);
+    }
+  }
   if (offsets.empty()) {
     return OkStatus();
   }
@@ -347,14 +346,12 @@ Status RvmInstance::ArchiveLiveLogBothLocked(LogShard& shard) {
                        LogDevice::Open(env_, path));
   archive->status().segments = shard.log->status().segments;
   archive->status().next_segment_id = shard.log->status().next_segment_id;
+  OwnedRecord record;
   for (auto offset = offsets.rbegin(); offset != offsets.rend(); ++offset) {
-    RVM_ASSIGN_OR_RETURN(OwnedRecord record, shard.log->ReadRecordAt(*offset));
-    if (record.parsed.header.type == RecordType::kWrapFiller) {
-      continue;
-    }
-    std::vector<RangeView> ranges = record.parsed.ranges;
+    RVM_RETURN_IF_ERROR(shard.log->ReadRecordAt(*offset, record));
     RVM_RETURN_IF_ERROR(archive
-                            ->AppendTransaction(record.parsed.header.tid, ranges,
+                            ->AppendTransaction(record.parsed.header.tid,
+                                                record.parsed.ranges,
                                                 record.parsed.header.flags)
                             .status());
   }
@@ -363,7 +360,7 @@ Status RvmInstance::ArchiveLiveLogBothLocked(LogShard& shard) {
 }
 
 Status RvmInstance::ForceSiblingEvidenceLocked(LogShard& shard) {
-  if (shards_.size() == 1 || !shard.holds_decisions) {
+  if (!shard.holds_decisions) {
     return OkStatus();
   }
   // This shard's log names committed cross-shard transactions whose
@@ -387,6 +384,7 @@ Status RvmInstance::ForceSiblingEvidenceLocked(LogShard& shard) {
 }
 
 Status RvmInstance::TruncateEpochLocked(LogShard& shard) {
+  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
   {
     std::lock_guard<std::mutex> log_lock(shard.log_mu);
     RVM_RETURN_IF_ERROR(TruncateEpochBothLocked(shard));
@@ -433,7 +431,6 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
       shard, &stats_.truncation_records_applied,
       &stats_.truncation_bytes_applied, &stats_.truncation_step_us,
       /*decided=*/nullptr, segment_files_));
-  RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
   shard.log->MarkEmpty();
   shard.holds_decisions = false;
   Status status_write = shard.log->WriteStatus();
@@ -493,8 +490,9 @@ Status RvmInstance::MaybeTruncateLocked() {
 Status RvmInstance::IncrementalTruncateLocked(LogShard& shard) {
   bool epoch_fallback = false;
   {
-    std::lock_guard<std::mutex> log_lock(shard.log_mu);
-    RVM_RETURN_IF_ERROR(IncrementalTruncateBothLocked(shard, &epoch_fallback));
+    std::unique_lock<std::mutex> log_lock(shard.log_mu);
+    RVM_RETURN_IF_ERROR(
+        IncrementalTruncateBothLocked(shard, log_lock, &epoch_fallback));
   }
   if (epoch_fallback) {
     // The head page is write-blocked and space is critical: revert to epoch
@@ -506,8 +504,9 @@ Status RvmInstance::IncrementalTruncateLocked(LogShard& shard) {
   return OkStatus();
 }
 
-Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
-                                                  bool* epoch_fallback) {
+Status RvmInstance::IncrementalTruncateBothLocked(
+    LogShard& shard, std::unique_lock<std::mutex>& log_lock,
+    bool* epoch_fallback) {
   *epoch_fallback = false;
   const uint64_t target = static_cast<uint64_t>(
       runtime_.truncation_target * static_cast<double>(shard.log->capacity()));
@@ -601,7 +600,10 @@ Status RvmInstance::IncrementalTruncateBothLocked(LogShard& shard,
   }
   // The head move (or empty) durably discards records, possibly including
   // cross-shard decision records; sibling evidence must be durable first.
+  // Forced without this shard's log_mu; state_mu_ keeps appends out.
+  log_lock.unlock();
   RVM_RETURN_IF_ERROR(ForceSiblingEvidenceLocked(shard));
+  log_lock.lock();
   if (shard.page_queue.empty()) {
     shard.log->MarkEmpty();
     shard.holds_decisions = false;

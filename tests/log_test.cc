@@ -2,6 +2,7 @@
 // circular append, wraparound, scans).
 #include <gtest/gtest.h>
 
+#include "src/os/fault_env.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/log_device.h"
 #include "src/rvm/log_format.h"
@@ -138,6 +139,19 @@ TEST(RecordTest, TruncatedRecordDetected) {
 
 // --- LogDevice ----------------------------------------------------------------
 
+// Offsets the live-record walk yields, newest first.
+StatusOr<std::vector<uint64_t>> WalkOffsets(LogDevice& log) {
+  std::vector<uint64_t> offsets;
+  LogDevice::LiveRecords walk(log);
+  for (;;) {
+    RVM_ASSIGN_OR_RETURN(const OwnedRecord* record, walk.Next());
+    if (record == nullptr) {
+      return offsets;
+    }
+    offsets.push_back(record->offset);
+  }
+}
+
 class LogDeviceTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kLogSize = kLogDataStart + 64 * 1024;
@@ -174,7 +188,7 @@ TEST_F(LogDeviceTest, CreateRejectsTinyLog) {
 TEST_F(LogDeviceTest, FreshLogIsEmpty) {
   EXPECT_EQ(log_->used(), 0u);
   EXPECT_EQ(log_->capacity(), kLogSize - kLogDataStart);
-  auto offsets = log_->CollectRecordOffsets();
+  auto offsets = WalkOffsets(*log_);
   ASSERT_TRUE(offsets.ok());
   EXPECT_TRUE(offsets->empty());
 }
@@ -183,23 +197,29 @@ TEST_F(LogDeviceTest, AppendAndReadBack) {
   auto offset = Append(128, 7);
   ASSERT_TRUE(offset.ok());
   EXPECT_EQ(*offset, kLogDataStart);
-  auto record = log_->ReadRecordAt(*offset);
-  ASSERT_TRUE(record.ok());
-  EXPECT_EQ(record->parsed.header.tid, 1u);
-  ASSERT_EQ(record->parsed.ranges.size(), 1u);
-  EXPECT_EQ(record->parsed.ranges[0].data.size(), 128u);
-  EXPECT_EQ(record->parsed.ranges[0].data[1], 8);
+  OwnedRecord record;
+  ASSERT_TRUE(log_->ReadRecordAt(*offset, record).ok());
+  EXPECT_EQ(record.parsed.header.tid, 1u);
+  ASSERT_EQ(record.parsed.ranges.size(), 1u);
+  EXPECT_EQ(record.parsed.ranges[0].data.size(), 128u);
+  EXPECT_EQ(record.parsed.ranges[0].data[1], 8);
 }
 
 TEST_F(LogDeviceTest, SequenceNumbersIncrease) {
   ASSERT_TRUE(Append(10).ok());
   ASSERT_TRUE(Append(10).ok());
-  auto offsets = log_->CollectRecordOffsets();
-  ASSERT_TRUE(offsets.ok());
-  ASSERT_EQ(offsets->size(), 2u);
-  auto newest = log_->ReadRecordAt((*offsets)[0]);
-  auto oldest = log_->ReadRecordAt((*offsets)[1]);
-  EXPECT_EQ(newest->parsed.header.seqno, oldest->parsed.header.seqno + 1);
+  std::vector<uint64_t> seqnos;
+  LogDevice::LiveRecords walk(*log_);
+  for (;;) {
+    auto record = walk.Next();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    if (*record == nullptr) {
+      break;
+    }
+    seqnos.push_back((*record)->parsed.header.seqno);
+  }
+  ASSERT_EQ(seqnos.size(), 2u);
+  EXPECT_EQ(seqnos[0], seqnos[1] + 1);  // newest first
 }
 
 TEST_F(LogDeviceTest, ReverseChainWalksNewestFirst) {
@@ -209,7 +229,7 @@ TEST_F(LogDeviceTest, ReverseChainWalksNewestFirst) {
     ASSERT_TRUE(offset.ok());
     expected.push_back(*offset);
   }
-  auto offsets = log_->CollectRecordOffsets();
+  auto offsets = WalkOffsets(*log_);
   ASSERT_TRUE(offsets.ok());
   std::reverse(expected.begin(), expected.end());
   EXPECT_EQ(*offsets, expected);
@@ -242,7 +262,7 @@ TEST_F(LogDeviceTest, ForwardScanFindsRecordsBeyondStatusTail) {
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, 2u);
   EXPECT_EQ((*reopened)->status().tail, log_->status().tail);
-  auto offsets = (*reopened)->CollectRecordOffsets();
+  auto offsets = WalkOffsets(**reopened);
   ASSERT_TRUE(offsets.ok());
   EXPECT_EQ(offsets->size(), 2u);
 }
@@ -291,17 +311,256 @@ TEST_F(LogDeviceTest, WrapAroundProducesFillerAndWraps) {
 
   // All records retrievable via the reverse chain (filler skipped in data,
   // but present in the chain).
-  auto offsets = log_->CollectRecordOffsets();
-  ASSERT_TRUE(offsets.ok());
   uint64_t transactions = 0;
-  for (uint64_t offset : *offsets) {
-    auto record = log_->ReadRecordAt(offset);
-    ASSERT_TRUE(record.ok());
-    if (record->parsed.header.type == RecordType::kTransaction) {
+  LogDevice::LiveRecords walk(*log_);
+  for (;;) {
+    auto record = walk.Next();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    if (*record == nullptr) {
+      break;
+    }
+    if ((*record)->parsed.header.type == RecordType::kTransaction) {
       ++transactions;
     }
   }
   EXPECT_EQ(transactions, 4u);
+}
+
+// --- The live-record walk ---------------------------------------------------
+
+TEST_F(LogDeviceTest, LiveRecordsWalkThroughWrapFillerDownToHead) {
+  // Fill most of the area, then let a truncation free everything older than
+  // the fourth record, so the head sits mid-area with stale records below.
+  const uint64_t record_data = 4096;
+  std::vector<uint64_t> written;
+  while (log_->free_space() > 3 * (record_data + 256)) {
+    auto offset = Append(record_data);
+    ASSERT_TRUE(offset.ok());
+    written.push_back(*offset);
+  }
+  ASSERT_GT(written.size(), 5u);
+  const uint64_t head = written[3];
+  written.erase(written.begin(), written.begin() + 3);
+  log_->status().head = head;
+  // Appends now run off the end of the area: a wrap filler, then a record
+  // at the start of the area, over stale ones.
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t tail = log_->status().tail;
+    auto offset = Append(record_data, static_cast<uint8_t>(i));
+    ASSERT_TRUE(offset.ok()) << offset.status().ToString();
+    if (*offset < tail) {
+      ASSERT_GE(kLogSize - tail, kRecordHeaderSize);
+      written.push_back(tail);  // the filler precedes the wrapped record
+      written.push_back(*offset);
+      break;
+    }
+    written.push_back(*offset);
+  }
+  ASSERT_LT(written.back(), head) << "the tail should have wrapped";
+  // Fill up to the head with small records: the tail passes the start of
+  // the stale record before the head, so the head's reverse displacement
+  // points into live data and only the stop at the head ends the walk.
+  for (auto offset = Append(64); offset.ok(); offset = Append(64)) {
+    written.push_back(*offset);
+  }
+  OwnedRecord head_record;
+  ASSERT_TRUE(log_->ReadRecordAt(head, head_record).ok());
+  ASSERT_LT(head_record.parsed.header.prev_offset, log_->status().tail);
+
+  std::vector<uint64_t> offsets;
+  uint64_t fillers = 0;
+  uint64_t previous_seqno = UINT64_MAX;
+  LogDevice::LiveRecords walk(*log_);
+  for (;;) {
+    auto record = walk.Next();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    if (*record == nullptr) {
+      break;
+    }
+    if (!offsets.empty()) {
+      EXPECT_EQ((*record)->parsed.header.seqno + 1, previous_seqno);
+    }
+    previous_seqno = (*record)->parsed.header.seqno;
+    if ((*record)->parsed.header.type == RecordType::kWrapFiller) {
+      ++fillers;
+    }
+    offsets.push_back((*record)->offset);
+  }
+  std::reverse(written.begin(), written.end());
+  EXPECT_EQ(offsets, written);
+  EXPECT_EQ(fillers, 1u);
+  EXPECT_EQ(offsets.back(), head) << "the head is the last record yielded";
+  // The walk is over: it stays over.
+  auto after = walk.Next();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, nullptr);
+}
+
+TEST_F(LogDeviceTest, LiveRecordsReportsChainLoops) {
+  std::vector<uint64_t> offsets;
+  for (int i = 0; i < 5; ++i) {
+    auto offset = Append(64, static_cast<uint8_t>(i));
+    ASSERT_TRUE(offset.ok());
+    offsets.push_back(*offset);
+  }
+  // Re-encode the middle record, CRC and all, with a reverse displacement
+  // that points at a newer live record: a well-formed chain that loops.
+  OwnedRecord middle;
+  ASSERT_TRUE(log_->ReadRecordAt(offsets[2], middle).ok());
+  const RecordHeader& header = middle.parsed.header;
+  std::vector<uint8_t> looped = EncodeTransactionRecord(
+      header.seqno, header.tid, offsets[4], middle.parsed.ranges,
+      header.flags);
+  ASSERT_EQ(looped.size(), middle.bytes.size());
+  auto file = env_.Open("/log", OpenMode::kReadWrite);
+  ASSERT_TRUE((*file)->WriteAt(offsets[2], looped).ok());
+
+  LogDevice::LiveRecords walk(*log_);
+  StatusOr<const OwnedRecord*> record = walk.Next();
+  uint64_t yielded = 0;
+  while (record.ok() && *record != nullptr) {
+    ++yielded;
+    record = walk.Next();
+  }
+  ASSERT_FALSE(record.ok()) << "a looping chain must not end cleanly";
+  EXPECT_EQ(record.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(record.status().message().find("chain loops"), std::string::npos)
+      << record.status().ToString();
+  EXPECT_EQ(yielded, log_->capacity() / kRecordHeaderSize + 1);
+}
+
+TEST_F(LogDeviceTest, LiveRecordsStopsAtUnreadableRecord) {
+  std::vector<uint64_t> offsets;
+  for (int i = 0; i < 5; ++i) {
+    auto offset = Append(64, static_cast<uint8_t>(i));
+    ASSERT_TRUE(offset.ok());
+    offsets.push_back(*offset);
+  }
+  ASSERT_TRUE(log_->Sync().ok());
+  auto file = env_.Open("/log", OpenMode::kReadWrite);
+  uint8_t junk = 0x5A;
+  ASSERT_TRUE((*file)->WriteAt(offsets[2] + kRecordHeaderSize + 10,
+                               std::span<const uint8_t>(&junk, 1)).ok());
+
+  LogDevice::LiveRecords walk(*log_);
+  std::vector<uint64_t> yielded;
+  StatusOr<const OwnedRecord*> record = walk.Next();
+  while (record.ok() && *record != nullptr) {
+    yielded.push_back((*record)->offset);
+    record = walk.Next();
+  }
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(yielded, (std::vector<uint64_t>{offsets[4], offsets[3]}));
+  // Nothing older than the unreadable record is ever yielded.
+  auto after = walk.Next();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, nullptr);
+}
+
+// --- The torn-tail probe ------------------------------------------------------
+
+// Three forced records past the status block's tail, the oldest with a
+// corrupted payload: the probe must find the two later ones and call the
+// unreadable record mid-log corruption, whatever transient faults its
+// chunk read meets. Opens the log through `env`; the caller arms faults.
+class TornTailProbeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(LogDevice::Create(&base_, "/log", kLogSize, false).ok());
+    auto log = LogDevice::Open(&base_, "/log");
+    ASSERT_TRUE(log.ok());
+    std::vector<uint8_t> data = Payload(256, 1);
+    RangeView range{.segment = 1, .offset = 0, .data = data};
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*log)->AppendTransaction(1, {&range, 1}).ok());
+    }
+    ASSERT_TRUE((*log)->Sync().ok());
+    auto file = base_.Open("/log", OpenMode::kReadWrite);
+    uint8_t junk = 0x5A;
+    ASSERT_TRUE((*file)->WriteAt(kLogDataStart + kRecordHeaderSize + 10,
+                                 std::span<const uint8_t>(&junk, 1)).ok());
+    auto reopened = LogDevice::Open(&env_, "/log");
+    ASSERT_TRUE(reopened.ok());
+    log_ = std::move(*reopened);
+  }
+
+  // The probe's first chunk read is the third read of ExtendTailForward,
+  // after the unreadable record's header and payload.
+  void FailChunkRead(FaultSpec spec) {
+    spec.op = FaultOp::kReadAt;
+    spec.after = 2;
+    env_.InjectFault(spec);
+  }
+
+  static constexpr uint64_t kLogSize = kLogDataStart + 64 * 1024;
+  MemEnv base_;
+  FaultInjectionEnv env_{&base_};
+  std::unique_ptr<LogDevice> log_;
+};
+
+TEST_F(TornTailProbeTest, NoFaultFindsTheSuccessor) {
+  auto found = log_->ExtendTailForward();
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption);
+}
+
+TEST_F(TornTailProbeTest, ShortChunkReadIsRetriedNotTakenAsTheEnd) {
+  FaultSpec spec;
+  spec.short_read_bytes = 3;
+  FailChunkRead(spec);
+  auto found = log_->ExtendTailForward();
+  EXPECT_EQ(env_.faults_fired(), 1u);
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << "a short probe read must not turn mid-log corruption into a torn "
+         "tail";
+  EXPECT_GT(log_->retries(), 0u);
+}
+
+TEST_F(TornTailProbeTest, TransientChunkReadIsRetried) {
+  FaultSpec spec;
+  spec.code = ErrorCode::kUnavailable;
+  FailChunkRead(spec);
+  auto found = log_->ExtendTailForward();
+  EXPECT_EQ(env_.faults_fired(), 1u);
+  EXPECT_EQ(found.status().code(), ErrorCode::kCorruption)
+      << found.status().ToString();
+  EXPECT_GT(log_->retries(), 0u);
+}
+
+TEST_F(TornTailProbeTest, PersistentShortChunkReadIsAnError) {
+  FaultSpec spec;
+  spec.short_read_bytes = 3;
+  spec.sticky = true;
+  FailChunkRead(spec);
+  auto found = log_->ExtendTailForward();
+  EXPECT_EQ(found.status().code(), ErrorCode::kIoError)
+      << "bytes the probe never saw cannot prove the tail torn";
+}
+
+TEST_F(LogDeviceTest, ScanReturnsHeadersAndSkipsStaleHitsWithoutRereading) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(Append(64, static_cast<uint8_t>(i)).ok());
+  }
+  ASSERT_TRUE(log_->Sync().ok());
+  FaultInjectionEnv env(&env_);
+  auto log = LogDevice::Open(&env, "/log");
+  ASSERT_TRUE(log.ok());
+
+  auto all = (*log)->ScanForRecords(/*min_seqno=*/0, /*max_results=*/100);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 10u);
+  for (uint64_t i = 0; i < all->size(); ++i) {
+    EXPECT_EQ((*all)[i].header.seqno, i + 1);
+    EXPECT_EQ((*all)[i].header.type, RecordType::kTransaction);
+  }
+
+  // Every hit is stale for min_seqno 11: the one chunk read (a 64 KB area)
+  // is all the I/O the scan does.
+  const uint64_t reads = env.operations(FaultOp::kReadAt);
+  auto none = (*log)->ScanForRecords(/*min_seqno=*/11, /*max_results=*/100);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(env.operations(FaultOp::kReadAt) - reads, 1u);
 }
 
 TEST_F(LogDeviceTest, LogFullWhenNoSpace) {

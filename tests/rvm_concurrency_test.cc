@@ -363,6 +363,79 @@ TEST_F(ConcurrencyTest, GroupCommitStressSharesForces) {
   ASSERT_TRUE(rvm_->Terminate().ok());
 }
 
+// A shard whose log holds cross-shard decisions forces its sibling logs
+// before a truncation discards them. That force must not run under the
+// truncated shard's log lock: on shard 1 it would take shard 0's lock under
+// shard 1's, against Introspect's ascending order (a lock-order inversion
+// TSan reports). Checked for both truncation policies.
+TEST(ShardTruncationLockOrderTest, DecisionShardTruncatesWhileIntrospecting) {
+  constexpr uint32_t kShards = 3;
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "epoch");
+    MemEnv env;
+    ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogDataStart + 64 * 1024,
+                                       false, kShards)
+                    .ok());
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log";
+    options.log_shards = kShards;
+    options.runtime.use_incremental_truncation = incremental;
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    // One region per shard (striping is by segment id, so which region
+    // lands where is found through the shard gauges). Transactions touch
+    // shards 1 and 2 only, so shard 1 coordinates and logs every decision.
+    std::vector<uint8_t*> bases(kShards, nullptr);
+    for (uint32_t i = 0; i < kShards; ++i) {
+      RegionDescriptor region;
+      region.segment_path = "/seg" + std::to_string(i);
+      region.length = kPage;
+      ASSERT_TRUE((*rvm)->Map(region).ok());
+      RvmGauges before = (*rvm)->Introspect();
+      auto tid = (*rvm)->BeginTransaction(RestoreMode::kRestore);
+      ASSERT_TRUE(tid.ok());
+      ASSERT_TRUE((*rvm)->SetRange(*tid, region.address, 1).ok());
+      ASSERT_TRUE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
+      RvmGauges after = (*rvm)->Introspect();
+      for (uint32_t shard = 0; shard < kShards; ++shard) {
+        if (after.shards[shard].records_appended >
+            before.shards[shard].records_appended) {
+          bases[shard] = static_cast<uint8_t*>(region.address);
+        }
+      }
+    }
+    ASSERT_NE(bases[1], nullptr);
+    ASSERT_NE(bases[2], nullptr);
+
+    std::atomic<bool> stop{false};
+    std::thread introspector([&] {
+      while (!stop.load()) {
+        (void)(*rvm)->Introspect();
+      }
+    });
+    Status status = OkStatus();
+    for (int i = 0; i < 400 && status.ok(); ++i) {
+      auto tid = (*rvm)->BeginTransaction(RestoreMode::kRestore);
+      status = tid.status();
+      for (uint32_t shard = 1; shard < kShards && status.ok(); ++shard) {
+        status = (*rvm)->SetRange(*tid, bases[shard], 1);
+        bases[shard][0] = static_cast<uint8_t>(i);
+      }
+      if (status.ok()) {
+        status = (*rvm)->EndTransaction(*tid, CommitMode::kFlush);
+      }
+      if (status.ok() && !incremental && i % 50 == 49) {
+        status = (*rvm)->Truncate();
+      }
+    }
+    stop.store(true);
+    introspector.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_GT((*rvm)->Introspect().shards[1].truncations, 0u);
+  }
+}
+
 TEST(GroupCommitCrashTest, MidBatchCutRecoversOnlyWholeTransactions) {
   // Concurrent flush committers each write the same value to a pair of
   // cells; a persist-budget power cut lands somewhere inside the commit

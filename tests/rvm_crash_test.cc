@@ -19,6 +19,7 @@
 // the end, so recovery reruns from scratch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -383,16 +384,16 @@ std::vector<uint64_t> LiveTransactionOffsets(CrashSimEnv& env) {
   auto log = LogDevice::Open(&env, "/log");
   EXPECT_TRUE(log.ok());
   if (!log.ok()) return result;
-  auto offsets = (*log)->CollectRecordOffsets();  // newest first
-  EXPECT_TRUE(offsets.ok());
-  if (!offsets.ok()) return result;
-  for (auto it = offsets->rbegin(); it != offsets->rend(); ++it) {
-    auto record = (*log)->ReadRecordAt(*it);
+  LogDevice::LiveRecords walk(**log);  // newest first
+  for (;;) {
+    auto record = walk.Next();
     EXPECT_TRUE(record.ok());
-    if (record.ok() && record->parsed.header.type == RecordType::kTransaction) {
-      result.push_back(*it);
+    if (!record.ok() || *record == nullptr) break;
+    if ((*record)->parsed.header.type == RecordType::kTransaction) {
+      result.push_back((*record)->offset);
     }
   }
+  std::reverse(result.begin(), result.end());
   return result;
 }
 

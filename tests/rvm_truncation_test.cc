@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/os/crash_sim.h"
 #include "src/os/mem_env.h"
@@ -305,17 +307,21 @@ TEST_F(TruncationTest, ArchivePreservesRecordsBeforeTruncation) {
   ASSERT_FALSE(archive_path.empty()) << "no archive written";
   auto archive = LogDevice::Open(&env_, archive_path);
   ASSERT_TRUE(archive.ok()) << archive.status().ToString();
-  auto offsets = (*archive)->CollectRecordOffsets();
-  ASSERT_TRUE(offsets.ok());
-  ASSERT_EQ(offsets->size(), 2u);
   // Newest first: the 0xCD record, then the 0xAB one.
-  auto newest = (*archive)->ReadRecordAt((*offsets)[0]);
-  ASSERT_TRUE(newest.ok());
-  ASSERT_EQ(newest->parsed.ranges.size(), 1u);
-  EXPECT_EQ(newest->parsed.ranges[0].offset, 300u);
-  EXPECT_EQ(newest->parsed.ranges[0].data[0], 0xCD);
-  auto oldest = (*archive)->ReadRecordAt((*offsets)[1]);
-  EXPECT_EQ(oldest->parsed.ranges[0].offset, 100u);
+  std::vector<std::pair<uint64_t, uint8_t>> records;  // (offset, first byte)
+  LogDevice::LiveRecords walk(**archive);
+  for (;;) {
+    auto record = walk.Next();
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    if (*record == nullptr) {
+      break;
+    }
+    ASSERT_EQ((*record)->parsed.ranges.size(), 1u);
+    const RangeView& range = (*record)->parsed.ranges[0];
+    records.emplace_back(range.offset, range.data[0]);
+  }
+  EXPECT_EQ(records, (std::vector<std::pair<uint64_t, uint8_t>>{
+                         {300, 0xCD}, {100, 0xAB}}));
   // Segment dictionary carried over for rvmutl's name resolution.
   EXPECT_EQ((*archive)->status().segments.size(), 1u);
   EXPECT_EQ((*archive)->status().segments[0].path, "/seg");

@@ -170,92 +170,102 @@ int CmdSegments(LogDevice& log) {
   return 0;
 }
 
-StatusOr<std::vector<OwnedRecord>> LiveRecords(LogDevice& log) {
-  // Include records beyond a stale tail pointer (post-crash logs).
-  RVM_RETURN_IF_ERROR(log.ExtendTailForward().status());
-  RVM_ASSIGN_OR_RETURN(std::vector<uint64_t> offsets, log.CollectRecordOffsets());
-  std::vector<OwnedRecord> records;
-  for (uint64_t offset : offsets) {
-    RVM_ASSIGN_OR_RETURN(OwnedRecord record, log.ReadRecordAt(offset));
-    records.push_back(std::move(record));
+// Streams the live log into `visit`, newest first (after ExtendTailForward).
+Status ForEachLiveRecord(
+    LogDevice& log, const std::function<void(const OwnedRecord&)>& visit) {
+  LogDevice::LiveRecords walk(log);
+  for (;;) {
+    RVM_ASSIGN_OR_RETURN(const OwnedRecord* record, walk.Next());
+    if (record == nullptr) {
+      return OkStatus();
+    }
+    visit(*record);
   }
-  return records;
 }
 
 int CmdRecords(LogDevice& log, uint64_t limit) {
-  auto records = LiveRecords(log);
-  if (!records.ok()) {
-    std::fprintf(stderr, "error: %s\n", records.status().ToString().c_str());
+  Status status = log.ExtendTailForward().status();
+  uint64_t total = 0;
+  if (status.ok()) {
+    std::printf("%10s %10s %8s %7s  %s\n", "offset", "seqno", "tid", "ranges",
+                "modified");
+    status = ForEachLiveRecord(log, [&](const OwnedRecord& record) {
+      if (total++ >= limit) {
+        return;  // counted for the "more" line only
+      }
+      const RecordHeader& header = record.parsed.header;
+      if (header.type == RecordType::kWrapFiller) {
+        std::printf("%10" PRIu64 " %10" PRIu64 " %8s %7s  (wrap filler)\n",
+                    record.offset, header.seqno, "-", "-");
+        return;
+      }
+      std::printf("%10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %7u  ",
+                  record.offset, header.seqno, header.tid, header.num_ranges);
+      bool first = true;
+      for (const RangeView& range : record.parsed.ranges) {
+        std::printf("%s%s[%" PRIu64 "..%" PRIu64 ")", first ? "" : ", ",
+                    SegmentName(log, range.segment).c_str(), range.offset,
+                    range.offset + range.data.size());
+        first = false;
+      }
+      std::printf("\n");
+    });
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("%10s %10s %8s %7s  %s\n", "offset", "seqno", "tid", "ranges",
-              "modified");
-  uint64_t shown = 0;
-  for (const OwnedRecord& record : *records) {
-    if (shown++ >= limit) {
-      std::printf("... (%zu more, use 'records N')\n", records->size() - limit);
-      break;
-    }
-    const RecordHeader& header = record.parsed.header;
-    if (header.type == RecordType::kWrapFiller) {
-      std::printf("%10" PRIu64 " %10" PRIu64 " %8s %7s  (wrap filler)\n",
-                  record.offset, header.seqno, "-", "-");
-      continue;
-    }
-    std::printf("%10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %7u  ",
-                record.offset, header.seqno, header.tid, header.num_ranges);
-    bool first = true;
-    for (const RangeView& range : record.parsed.ranges) {
-      std::printf("%s%s[%" PRIu64 "..%" PRIu64 ")", first ? "" : ", ",
-                  SegmentName(log, range.segment).c_str(), range.offset,
-                  range.offset + range.data.size());
-      first = false;
-    }
-    std::printf("\n");
+  if (total > limit) {
+    std::printf("... (%" PRIu64 " more, use 'records N')\n", total - limit);
   }
   return 0;
 }
 
 int CmdHistory(LogDevice& log, const std::string& segment, uint64_t offset,
                uint64_t length) {
-  auto records = LiveRecords(log);
-  if (!records.ok()) {
-    std::fprintf(stderr, "error: %s\n", records.status().ToString().c_str());
-    return 1;
-  }
+  Status status = log.ExtendTailForward().status();
   SegmentId seg_id = kInvalidSegmentId;
   for (const SegmentDictEntry& entry : log.status().segments) {
     if (entry.path == segment || std::to_string(entry.id) == segment) {
       seg_id = entry.id;
     }
   }
+  uint64_t hits = 0;
+  if (status.ok()) {
+    if (seg_id != kInvalidSegmentId) {
+      std::printf("modification history of %s [%" PRIu64 "..%" PRIu64
+                  "), newest first:\n\n", segment.c_str(), offset,
+                  offset + length);
+    }
+    status = ForEachLiveRecord(log, [&](const OwnedRecord& record) {
+      for (const RangeView& range : record.parsed.ranges) {
+        if (range.segment != seg_id) {
+          continue;
+        }
+        uint64_t range_end = range.offset + range.data.size();
+        uint64_t overlap_start = std::max(offset, range.offset);
+        uint64_t overlap_end = std::min(offset + length, range_end);
+        if (overlap_start >= overlap_end) {
+          continue;
+        }
+        ++hits;
+        std::printf("  seqno %" PRIu64 " tid %" PRIu64 " wrote [%" PRIu64
+                    "..%" PRIu64 "):\n", record.parsed.header.seqno,
+                    record.parsed.header.tid, overlap_start, overlap_end);
+        PrintHex(range.data.subspan(overlap_start - range.offset,
+                                    overlap_end - overlap_start),
+                 overlap_start);
+      }
+    });
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 1;
+  }
   if (seg_id == kInvalidSegmentId) {
     std::fprintf(stderr, "unknown segment %s (try 'segments')\n",
                  segment.c_str());
     return 1;
-  }
-  std::printf("modification history of %s [%" PRIu64 "..%" PRIu64 "), newest "
-              "first:\n\n", segment.c_str(), offset, offset + length);
-  uint64_t hits = 0;
-  for (const OwnedRecord& record : *records) {
-    for (const RangeView& range : record.parsed.ranges) {
-      if (range.segment != seg_id) {
-        continue;
-      }
-      uint64_t range_end = range.offset + range.data.size();
-      uint64_t overlap_start = std::max(offset, range.offset);
-      uint64_t overlap_end = std::min(offset + length, range_end);
-      if (overlap_start >= overlap_end) {
-        continue;
-      }
-      ++hits;
-      std::printf("  seqno %" PRIu64 " tid %" PRIu64 " wrote [%" PRIu64
-                  "..%" PRIu64 "):\n", record.parsed.header.seqno,
-                  record.parsed.header.tid, overlap_start, overlap_end);
-      PrintHex(range.data.subspan(overlap_start - range.offset,
-                                  overlap_end - overlap_start),
-               overlap_start);
-    }
   }
   if (hits == 0) {
     std::printf("  (no live log records touch this range; it may have been "
@@ -278,22 +288,8 @@ bool SalvageReport(LogDevice& log) {
                  scan.status().ToString().c_str());
     return lost_committed_data;
   }
-  struct Item {
-    uint64_t seqno;
-    uint64_t offset;
-    bool filler;
-  };
-  std::vector<Item> items;
-  for (uint64_t offset : *scan) {
-    auto record = log.ReadRecordAt(offset);
-    if (!record.ok()) {
-      continue;
-    }
-    items.push_back({record->parsed.header.seqno, offset,
-                     record->parsed.header.type == RecordType::kWrapFiller});
-  }
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.seqno < b.seqno; });
+  std::vector<ScannedRecord>& items = *scan;
+  std::ranges::sort(items, {}, [](const ScannedRecord& r) { return r.header.seqno; });
   std::fprintf(stderr, "salvage: %zu readable record(s) in the area\n",
                items.size());
   // Report runs of consecutive sequence numbers; a break between runs is
@@ -302,19 +298,19 @@ bool SalvageReport(LogDevice& log) {
   while (i < items.size()) {
     size_t j = i;
     while (j + 1 < items.size() &&
-           items[j + 1].seqno == items[j].seqno + 1) {
+           items[j + 1].header.seqno == items[j].header.seqno + 1) {
       ++j;
     }
     std::fprintf(stderr,
                  "salvage:   seqno %" PRIu64 "..%" PRIu64 " (%zu record(s)), "
                  "offsets %" PRIu64 "..%" PRIu64 "\n",
-                 items[i].seqno, items[j].seqno, j - i + 1, items[i].offset,
-                 items[j].offset);
+                 items[i].header.seqno, items[j].header.seqno, j - i + 1,
+                 items[i].offset, items[j].offset);
     if (j + 1 < items.size()) {
       std::fprintf(stderr,
                    "salvage:   GAP: seqno %" PRIu64 "..%" PRIu64
                    " unreadable — committed data lost\n",
-                   items[j].seqno + 1, items[j + 1].seqno - 1);
+                   items[j].header.seqno + 1, items[j + 1].header.seqno - 1);
       lost_committed_data = true;
     }
     i = j + 1;
@@ -323,34 +319,40 @@ bool SalvageReport(LogDevice& log) {
 }
 
 int CmdVerify(LogDevice& log) {
-  auto records = LiveRecords(log);
-  if (!records.ok()) {
-    std::fprintf(stderr, "INVALID: %s\n", records.status().ToString().c_str());
+  uint64_t transactions = 0;
+  uint64_t fillers = 0;
+  uint64_t bytes = 0;
+  uint64_t previous_seqno = UINT64_MAX;
+  std::optional<uint64_t> out_of_order;  // offset of the first such record
+  Status status = log.ExtendTailForward().status();
+  if (status.ok()) {
+    status = ForEachLiveRecord(log, [&](const OwnedRecord& record) {
+      // Newest-first walk: sequence numbers must strictly decrease.
+      if (record.parsed.header.seqno >= previous_seqno && !out_of_order) {
+        out_of_order = record.offset;
+      }
+      previous_seqno = record.parsed.header.seqno;
+      if (record.parsed.header.type == RecordType::kWrapFiller) {
+        ++fillers;
+      } else {
+        ++transactions;
+        for (const RangeView& range : record.parsed.ranges) {
+          bytes += range.data.size();
+        }
+      }
+    });
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "INVALID: %s\n", status.ToString().c_str());
     // Exit 3 when the salvage scan proves committed transactions are gone
     // (a seqno gap), so monitoring can distinguish "log damaged but data
     // recoverable elsewhere in the area" from actual data loss.
     return SalvageReport(log) ? 3 : 1;
   }
-  uint64_t transactions = 0;
-  uint64_t fillers = 0;
-  uint64_t bytes = 0;
-  uint64_t previous_seqno = UINT64_MAX;
-  for (const OwnedRecord& record : *records) {
-    // Newest-first walk: sequence numbers must strictly decrease.
-    if (record.parsed.header.seqno >= previous_seqno) {
-      std::fprintf(stderr, "INVALID: sequence numbers not monotonic at offset "
-                   "%" PRIu64 "\n", record.offset);
-      return 1;
-    }
-    previous_seqno = record.parsed.header.seqno;
-    if (record.parsed.header.type == RecordType::kWrapFiller) {
-      ++fillers;
-    } else {
-      ++transactions;
-      for (const RangeView& range : record.parsed.ranges) {
-        bytes += range.data.size();
-      }
-    }
+  if (out_of_order) {
+    std::fprintf(stderr, "INVALID: sequence numbers not monotonic at offset "
+                 "%" PRIu64 "\n", *out_of_order);
+    return 1;
   }
   std::printf("OK: %" PRIu64 " transaction records, %" PRIu64 " wrap fillers, "
               "%" PRIu64 " data bytes, all CRCs valid\n",
