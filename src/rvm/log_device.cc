@@ -312,7 +312,6 @@ Status LogDevice::Sync() {
   // The caller's log lock excludes appends, so every record counted in
   // appended_lsn_ is in the file before the barrier below.
   uint64_t target = appended_lsn_.load(std::memory_order_acquire);
-  ++syncs_;
   Status status = SyncWithReopenRetry();
   if (!status.ok()) {
     Poison(status);

@@ -165,9 +165,6 @@ class LogDevice {
   // recovery has applied everything): head = tail, chain restarts.
   void MarkEmpty();
 
-  // Statistics for benchmarks and Table 2.
-  uint64_t syncs() const { return syncs_; }
-
   // Transient-error retry (DESIGN.md §13). Failures carrying kUnavailable
   // (the EINTR/EAGAIN class) and short reads inside the log area are
   // retried up to `limit` times with exponential backoff and deterministic
@@ -222,7 +219,7 @@ class LogDevice {
   // retries alongside kUnavailable errors.
   StatusOr<size_t> ReadFullyRetry(uint64_t offset, std::span<uint8_t> out);
   // file_->Sync with the reopen-and-replay retry described above. Does not
-  // bump syncs_ or poison; callers own both.
+  // poison; callers do.
   Status SyncWithReopenRetry();
   // Opens a fresh fd at path_ and replays unsynced_writes_ onto it.
   Status ReopenForSyncRetry();
@@ -235,7 +232,6 @@ class LogDevice {
   LogStatusBlock status_;
   std::atomic<uint64_t> appended_lsn_{0};
   std::atomic<uint64_t> durable_lsn_{0};
-  uint64_t syncs_ = 0;
   RetryPolicy retry_;
   std::atomic<uint64_t> retries_{0};
   std::atomic<bool> retrying_{false};

@@ -229,10 +229,10 @@ void RvmInstance::DumpPoisonSidecar(const Status& cause) {
 }
 
 void RvmInstance::PoisonShard(LogShard& shard, const Status& cause) {
-  if (shard.index == 0 || shards_.size() == 1) {
+  if (shard.index == 0) {
     // Shard 0 carries the segment dictionary's allocation source of truth
-    // and the single shard of a 1-log instance IS the instance; neither can
-    // be quarantined around. Escalate to instance death.
+    // (and is the whole instance on a 1-log instance); it cannot be
+    // quarantined around. Escalate to instance death.
     Poison(cause);
     return;
   }
@@ -341,9 +341,9 @@ Status RvmInstance::FailIfPoisoned() {
     if (!shard->log->poisoned()) {
       continue;
     }
-    if (shard->index == 0 || shards_.size() == 1) {
-      // The device poisoned itself (e.g. a status write from the group
-      // leader); adopt its cause so stats_.poisoned records the transition.
+    if (shard->index == 0) {
+      // The device poisoned itself (e.g. a failed status write); adopt its
+      // cause so stats_.poisoned records the transition.
       Poison(shard->log->poison_status());
       return poison_cause_;
     }
@@ -510,20 +510,26 @@ Status RvmInstance::Terminate() {
     return FailedPrecondition("uncommitted transactions outstanding");
   }
   RVM_RETURN_IF_ERROR(FailIfPoisoned());
+  const uint64_t terminate_span = ReserveSpanId();
+  const uint64_t terminate_start_us = RingNow();
   RVM_RETURN_IF_ERROR(FlushDirectLocked());
   // Persist the exact tail of every shard so the next Initialize has no
   // forward scanning to do; not required for correctness, recovery would
   // find the tails itself. Quarantined shards are skipped — their device
   // is poisoned and the next Initialize (or RepairShard) recovers them by
   // scanning anyway.
+  uint64_t written = 0;
   for (const auto& shard : shards_) {
     if (shard->health.load(std::memory_order_acquire) !=
         static_cast<uint32_t>(ShardHealth::kOk)) {
       continue;
     }
     std::lock_guard<std::mutex> log_lock(shard->log_mu);
-    RVM_RETURN_IF_ERROR(shard->log->WriteStatus());
+    RVM_RETURN_IF_ERROR(WriteStatusBothLocked(*shard, terminate_span));
+    ++written;
   }
+  RecordPhase(SpanKind::kTerminate, /*shard=*/0, terminate_start_us, written,
+              terminate_span);
   terminated_ = true;
   return OkStatus();
 }
@@ -578,7 +584,7 @@ StatusOr<SegmentId> RvmInstance::SegmentIdForLocked(const std::string& path) {
       if (log.status().next_segment_id <= id) {
         log.status().next_segment_id = id + 1;
       }
-      Status status = log.WriteStatus();
+      Status status = WriteStatusBothLocked(*shards_[k]);
       if (!status.ok()) {
         log.status().segments.pop_back();
         return status;
@@ -600,11 +606,11 @@ StatusOr<SegmentId> RvmInstance::SegmentIdForLocked(const std::string& path) {
     log.status().segments.push_back({id, path});
     // The dictionary must be durable before any log record names this id. On
     // failure (e.g. the path overflows the status block) roll the entry back
-    // so later status writes — every single-shard group batch issues one —
-    // still encode. Mirrors carry identical dictionaries, so an encoding
-    // failure strikes shard 0 first and the rollback is all-or-none; an I/O
-    // failure has already poisoned the device.
-    Status status = log.WriteStatus();
+    // so later status writes (head moves, Terminate) still encode. Mirrors
+    // carry identical dictionaries, so an encoding failure strikes shard 0
+    // first and the rollback is all-or-none; an I/O failure has already
+    // poisoned the device.
+    Status status = WriteStatusBothLocked(*shards_[k]);
     if (!status.ok()) {
       log.status().segments.pop_back();
       --log.status().next_segment_id;
@@ -1141,12 +1147,29 @@ Status RvmInstance::ForceShardBothLocked(LogShard& shard) {
     NotifyDurableWaiters(shard);  // group-stage waiters observe the poison
     return synced;
   }
-  const uint64_t sync_us = env_->NowMicros() - sync_start_us;
-  stats_.log_force_us.Record(sync_us);
-  RecordForce(shard, sync_start_us, sync_us, nullptr);
-  ++stats_.log_forces;
-  shard.forces.fetch_add(1, std::memory_order_relaxed);
+  CountForce(shard, sync_start_us, env_->NowMicros() - sync_start_us, nullptr);
   NotifyDurableWaiters(shard);
+  return OkStatus();
+}
+
+Status RvmInstance::WriteStatusBothLocked(LogShard& shard,
+                                          uint64_t parent_span) {
+  if (shard.log->durable_lsn() < shard.log->appended_lsn()) {
+    RVM_RETURN_IF_ERROR(ForceShardBothLocked(shard));
+  }
+  const uint64_t start_us = env_->NowMicros();
+  RVM_RETURN_IF_ERROR(shard.log->WriteStatus());
+  const uint64_t end_us = env_->NowMicros();
+  ++stats_.status_writes;
+  stats_.status_write_us.Record(end_us - start_us);
+  if (parent_span != 0) {
+    RecordSpan({.parent_id = parent_span,
+                .kind = SpanKind::kStatusWrite,
+                .shard = shard.index,
+                .start_us = start_us,
+                .end_us = end_us,
+                .arg = shard.log->status().generation});
+  }
   return OkStatus();
 }
 
@@ -1628,26 +1651,6 @@ Status RvmInstance::CommitDurable(LogShard& shard, uint64_t target_lsn,
           sync_status = shard.log->Sync();
           sync_us = env_->NowMicros() - sync_start_us;
           forced = sync_status.ok();
-          if (sync_status.ok() && shards_.size() == 1) {
-            // Persist the batch's tail so recovery after a clean crash needs
-            // no forward scan past it. The batch is already durable at this
-            // point, so a failure here cannot fail the commits — recovery
-            // rediscovers the tail by forward scanning from the older status
-            // block — but it does poison the device for future operations.
-            //
-            // Multi-shard instances skip this (DESIGN.md §12): the status
-            // write costs a second fsync per batch, and recovery forward-
-            // scans each shard from its last written status anyway. Status
-            // blocks still reach disk at every dictionary change, head move,
-            // and Terminate. The single-shard path keeps the original
-            // per-batch write so its on-disk cadence is unchanged.
-            Status status_write = shard.log->WriteStatus();
-            if (!status_write.ok()) {
-              Poison(status_write);
-              RVM_LOG_WARN("batch status write failed (commits durable): %s",
-                           status_write.ToString().c_str());
-            }
-          }
         }
       }
       group_lock.lock();
@@ -1660,17 +1663,14 @@ Status RvmInstance::CommitDurable(LogShard& shard, uint64_t target_lsn,
         PoisonShard(shard, sync_status);
         result = sync_status;
       } else if (forced) {
-        shard.forces.fetch_add(1, std::memory_order_relaxed);
         // Force cluster: forces and batches move together, and readers
         // derive saved forces from batches vs. batched_txns — bracket the
         // cluster so a Snapshot() cannot observe the force without its
         // batch (or vice versa).
         MultiFieldUpdate seqlock(stats_);
-        ++stats_.log_forces;
+        CountForce(shard, sync_start_us, sync_us, span_scope);
         ++stats_.group_commit_batches;
         stats_.commit_fsync_us.Record(sync_us);
-        stats_.log_force_us.Record(sync_us);
-        RecordForce(shard, sync_start_us, sync_us, span_scope);
       }
       shard.group_cv.notify_all();
       if (!result.ok()) {
@@ -2088,7 +2088,9 @@ void RvmInstance::RecordSpan(Span span) {
   if (spans_ == nullptr) {
     return;
   }
-  span.span_id = spans_->NextSpanId();
+  if (span.span_id == 0) {
+    span.span_id = spans_->NextSpanId();
+  }
   spans_->Record(span);
 }
 
@@ -2110,12 +2112,14 @@ void RvmInstance::RecordEvent(SpanKind kind, uint64_t arg, uint32_t shard,
 }
 
 uint64_t RvmInstance::RecordPhase(SpanKind kind, uint32_t shard,
-                                  uint64_t start_us, uint64_t arg) {
+                                  uint64_t start_us, uint64_t arg,
+                                  uint64_t span_id) {
   if (spans_ == nullptr) {
     return 0;
   }
   const uint64_t now_us = env_->NowMicros();
-  RecordSpan({.kind = kind,
+  RecordSpan({.span_id = span_id,
+              .kind = kind,
               .shard = shard,
               .start_us = start_us,
               .end_us = std::max(start_us, now_us),
@@ -2154,8 +2158,11 @@ void RvmInstance::RecordAppend(const LogShard& shard, TransactionId tid,
                     own ? scope : nullptr);
 }
 
-void RvmInstance::RecordForce(const LogShard& shard, uint64_t start_us,
-                              uint64_t sync_us, CommitSpanScope* scope) {
+void RvmInstance::CountForce(LogShard& shard, uint64_t start_us,
+                             uint64_t sync_us, CommitSpanScope* scope) {
+  ++stats_.log_forces;
+  stats_.log_force_us.Record(sync_us);
+  shard.forces.fetch_add(1, std::memory_order_relaxed);
   if (spans_ == nullptr) {
     return;
   }

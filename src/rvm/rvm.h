@@ -419,12 +419,12 @@ class RvmInstance {
   Status RecoverLocked();
   // Applies one shard's live log to its segments (no status change; the
   // caller empties the log only after every shard's apply is durable), and
-  // records the apply as a recovery-apply record from *phase_us, which
-  // advances to the record's end.
+  // records the apply as a recovery-apply record with id `span_id` from
+  // *phase_us, which advances to the record's end.
   Status RecoverShardBothLocked(LogShard& shard,
                                 const std::set<TransactionId>* decided,
                                 std::map<SegmentId, std::unique_ptr<File>>& files,
-                                uint64_t* phase_us);
+                                uint64_t* phase_us, uint64_t span_id);
   // One walk over the shard's live log: transaction ids carrying a 2PC
   // prepare record, and ids carrying a decision or commit marker. Recovery
   // unions the decided sets across shards (presumed abort) and uses the
@@ -511,12 +511,15 @@ class RvmInstance {
   // Records a child of the commit in `scope` (a standalone record when
   // `scope` is null) and keeps a copy for its outlier tree. Ring on only.
   void RecordCommitChild(Span span, CommitSpanScope* scope);
-  // Records one log append / one log force (DESIGN.md §10); `scope` links
-  // the record to the commit that issued it. Takes at most one clock read.
+  // Records one log append (DESIGN.md §10); `scope` links the record to
+  // the commit that issued it. Takes at most one clock read.
   void RecordAppend(const LogShard& shard, TransactionId tid, uint64_t offset,
                     CommitSpanScope* scope);
-  void RecordForce(const LogShard& shard, uint64_t start_us, uint64_t sync_us,
-                   CommitSpanScope* scope);
+  // Counts one successful log force of `shard` (log_forces, log_force_us,
+  // the shard's force gauge) and records its force span, linked to the
+  // commit in `scope` if any.
+  void CountForce(LogShard& shard, uint64_t start_us, uint64_t sync_us,
+                  CommitSpanScope* scope);
 
   // --- commit path (rvm.cc) ---
   // Shared body of EndTransaction and EndTransactionWithUndo: bookkeeping
@@ -551,8 +554,15 @@ class RvmInstance {
   Status CommitCrossShardLocked(
       TxnState& txn, std::vector<std::pair<uint32_t, SpoolEntry>>& entries,
       CommitSpanScope* span_scope);
-  // Forces one shard synchronously under its log lock (2PC, direct flush).
+  // Forces one shard synchronously under its log lock (2PC, direct flush,
+  // truncation, recovery): one counted log force.
   Status ForceShardBothLocked(LogShard& shard);
+  // Writes one shard's status block (DESIGN.md §12): one counted status
+  // write. Appended records not yet durable are forced first, so the
+  // block's own fsync is the only sync the status write adds. A nonzero
+  // `parent_span` (the truncation, recovery-apply or terminate record the
+  // write ends) gets a status-write child.
+  Status WriteStatusBothLocked(LogShard& shard, uint64_t parent_span = 0);
   // Appends every spooled no-flush record on `shard` and reports the LSN
   // the caller must make durable (the appended LSN even when the spool was
   // empty, so Flush also waits out commits still in the group stage).
@@ -565,10 +575,8 @@ class RvmInstance {
   // --- group-commit stage (no locks held on entry) ---
   // Blocks until the shard's durable_lsn >= target_lsn. Whoever finds no
   // force in flight becomes leader, optionally dwells for more arrivals
-  // (max_batch / max_wait_us), and issues one Sync for the whole batch
-  // (plus, on a single-shard instance, the status write that keeps the
-  // original one-log format's recovery fast path); everyone else waits on
-  // the shard's group_cv.
+  // (max_batch / max_wait_us), and issues one Sync for the whole batch;
+  // everyone else waits on the shard's group_cv.
   Status CommitDurable(LogShard& shard, uint64_t target_lsn,
                        uint64_t max_batch, uint64_t max_wait_us,
                        CommitSpanScope* span_scope = nullptr);
@@ -690,18 +698,23 @@ class RvmInstance {
   // thread and lock state; no-ops that read no clock when the ring is off.
   // RingNow is a timestamp for a record about to be made (0 when off).
   uint64_t RingNow() const { return spans_ != nullptr ? env_->NowMicros() : 0; }
-  // Records `span` under the next span id.
+  // Records `span` under its reserved id, or the next one if it has none.
   void RecordSpan(Span span);
+  // Reserves the id of a record that ends after its children (0 when off).
+  uint64_t ReserveSpanId() {
+    return spans_ != nullptr ? spans_->NextSpanId() : 0;
+  }
   // A zero-duration event at a timestamp the caller already took.
   void RecordEventAt(uint64_t at_us, SpanKind kind, uint64_t arg,
                      uint32_t shard = 0, uint64_t tid = 0);
   // A zero-duration event stamped now: one clock read.
   void RecordEvent(SpanKind kind, uint64_t arg, uint32_t shard = 0,
                    uint64_t tid = 0);
-  // A maintenance record from start_us to now; returns now, so consecutive
-  // phases can chain without another clock read.
+  // A maintenance record from start_us to now, under a reserved `span_id`
+  // if nonzero; returns now, so consecutive phases can chain without
+  // another clock read.
   uint64_t RecordPhase(SpanKind kind, uint32_t shard, uint64_t start_us,
-                       uint64_t arg);
+                       uint64_t arg, uint64_t span_id = 0);
 
   Env* env_;
   CpuMeter cpu_;

@@ -156,15 +156,16 @@ Status RvmInstance::CollectShardTidSetsBothLocked(
 
 Status RvmInstance::RecoverShardBothLocked(
     LogShard& shard, const std::set<TransactionId>* decided,
-    std::map<SegmentId, std::unique_ptr<File>>& files, uint64_t* phase_us) {
+    std::map<SegmentId, std::unique_ptr<File>>& files, uint64_t* phase_us,
+    uint64_t span_id) {
   StatCounter records;
   Status applied = ApplyLogToSegmentsBothLocked(
       shard, &records, &stats_.recovery_bytes_applied,
       &stats_.recovery_apply_us, decided, files);
   stats_.recovery_records_applied += records;
   if (applied.ok()) {
-    *phase_us =
-        RecordPhase(SpanKind::kRecoveryApply, shard.index, *phase_us, records);
+    *phase_us = RecordPhase(SpanKind::kRecoveryApply, shard.index, *phase_us,
+                            records, span_id);
   }
   return applied;
 }
@@ -173,8 +174,9 @@ Status RvmInstance::RecoverLocked() {
   // Phase 1, every shard: find the true end of the log. Records forced after
   // the last status-block write are discovered by forward validity scanning
   // (§5.1.2's "reading the log from tail to head" starts from this recovered
-  // tail). Multi-shard instances rely on this heavily — the group leader
-  // defers status writes, so a whole batch tail may sit past the block.
+  // tail). Every instance relies on this: commits write no status block
+  // (DESIGN.md §12), so every force since the last head move, dictionary
+  // change or Terminate sits past the block.
   //
   // Each recovery record starts where the previous one ended, so the whole
   // procedure costs one clock read per record plus this one (and one more
@@ -235,11 +237,7 @@ Status RvmInstance::RecoverLocked() {
         }
       }
       if (patched) {
-        Status synced = live[i]->log->Sync();
-        if (!synced.ok()) {
-          PoisonShard(*live[i], synced);
-          return synced;
-        }
+        RVM_RETURN_IF_ERROR(ForceShardBothLocked(*live[i]));
       }
     }
   }
@@ -254,6 +252,11 @@ Status RvmInstance::RecoverLocked() {
   if (shards_.size() > 1) {
     phase_us = RingNow();  // phases 2-3 belong to no one shard's record
   }
+  // Each apply record's id, reserved so phase 5's status write links to it.
+  std::vector<uint64_t> apply_spans(live.size());
+  for (uint64_t& span_id : apply_spans) {
+    span_id = ReserveSpanId();
+  }
   if (live.size() > 1 && env_ == GetRealEnv()) {
     std::vector<std::map<SegmentId, std::unique_ptr<File>>> caches(live.size());
     std::vector<Status> results(live.size(), OkStatus());
@@ -261,10 +264,11 @@ Status RvmInstance::RecoverLocked() {
     threads.reserve(live.size());
     for (size_t i = 0; i < live.size(); ++i) {
       threads.emplace_back([this, shard = live[i], decided_ptr, &caches,
-                            &results, i, apply_start_us = phase_us]() mutable {
+                            &results, i, apply_start_us = phase_us,
+                            span_id = apply_spans[i]]() mutable {
         std::lock_guard<std::mutex> log_lock(shard->log_mu);
         results[i] = RecoverShardBothLocked(*shard, decided_ptr, caches[i],
-                                            &apply_start_us);
+                                            &apply_start_us, span_id);
       });
     }
     for (std::thread& thread : threads) {
@@ -281,10 +285,10 @@ Status RvmInstance::RecoverLocked() {
       RVM_RETURN_IF_ERROR(result);
     }
   } else {
-    for (LogShard* shard : live) {
-      std::lock_guard<std::mutex> log_lock(shard->log_mu);
-      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(*shard, decided_ptr,
-                                                 segment_files_, &phase_us));
+    for (size_t i = 0; i < live.size(); ++i) {
+      std::lock_guard<std::mutex> log_lock(live[i]->log_mu);
+      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(
+          *live[i], decided_ptr, segment_files_, &phase_us, apply_spans[i]));
     }
   }
 
@@ -293,12 +297,12 @@ Status RvmInstance::RecoverLocked() {
   // some live is safe: the live ones re-apply bytes the segments already
   // hold (phase 3 made their decision evidence local, so the rerun applies
   // the same record subset).
-  for (LogShard* shard : live) {
-    std::lock_guard<std::mutex> log_lock(shard->log_mu);
-    shard->log->MarkEmpty();
-    Status status_write = shard->log->WriteStatus();
+  for (size_t i = 0; i < live.size(); ++i) {
+    std::lock_guard<std::mutex> log_lock(live[i]->log_mu);
+    live[i]->log->MarkEmpty();
+    Status status_write = WriteStatusBothLocked(*live[i], apply_spans[i]);
     if (!status_write.ok()) {
-      PoisonShard(*shard, status_write);
+      PoisonShard(*live[i], status_write);
       return status_write;
     }
   }
@@ -374,11 +378,7 @@ Status RvmInstance::ForceSiblingEvidenceLocked(LogShard& shard) {
       continue;
     }
     std::lock_guard<std::mutex> log_lock(other->log_mu);
-    Status synced = other->log->Sync();
-    if (!synced.ok()) {
-      PoisonShard(*other, synced);
-      return synced;
-    }
+    RVM_RETURN_IF_ERROR(ForceShardBothLocked(*other));
   }
   return OkStatus();
 }
@@ -389,9 +389,6 @@ Status RvmInstance::TruncateEpochLocked(LogShard& shard) {
     std::lock_guard<std::mutex> log_lock(shard.log_mu);
     RVM_RETURN_IF_ERROR(TruncateEpochBothLocked(shard));
   }
-  // The epoch's Sync/WriteStatus advanced the durable LSN; wake any
-  // group-stage waiters whose leader has not run yet.
-  NotifyDurableWaiters(shard);
   return OkStatus();
 }
 
@@ -409,15 +406,7 @@ Status RvmInstance::TruncateAllEpochLocked() {
 Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
   // Everything the epoch applies must be durable in the log first, so a
   // crash mid-truncation can re-derive the same segment contents.
-  const uint64_t sync_start_us = env_->NowMicros();
-  Status synced = shard.log->Sync();
-  if (!synced.ok()) {
-    PoisonShard(shard, synced);  // the device poisoned itself; contain it
-    return synced;
-  }
-  const uint64_t sync_us = env_->NowMicros() - sync_start_us;
-  stats_.log_force_us.Record(sync_us);
-  RecordForce(shard, sync_start_us, sync_us, nullptr);
+  RVM_RETURN_IF_ERROR(ForceShardBothLocked(shard));
   if (shard.log->used() == 0) {
     return OkStatus();
   }
@@ -425,15 +414,15 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
     RVM_RETURN_IF_ERROR(ArchiveLiveLogBothLocked(shard));
   }
   ++stats_.truncations_started;
-  // The pass starts where the force above ended: no extra clock read.
-  const uint64_t truncation_start_us = sync_start_us + sync_us;
+  const uint64_t truncation_span = ReserveSpanId();
+  const uint64_t truncation_start_us = RingNow();
   RVM_RETURN_IF_ERROR(ApplyLogToSegmentsBothLocked(
       shard, &stats_.truncation_records_applied,
       &stats_.truncation_bytes_applied, &stats_.truncation_step_us,
       /*decided=*/nullptr, segment_files_));
   shard.log->MarkEmpty();
   shard.holds_decisions = false;
-  Status status_write = shard.log->WriteStatus();
+  Status status_write = WriteStatusBothLocked(shard, truncation_span);
   if (!status_write.ok()) {
     PoisonShard(shard, status_write);
     return status_write;
@@ -459,7 +448,7 @@ Status RvmInstance::TruncateEpochBothLocked(LogShard& shard) {
     ++stats_.epoch_truncations;
   }
   RecordPhase(SpanKind::kTruncation, shard.index, truncation_start_us,
-              /*arg=*/0);
+              /*arg=*/0, truncation_span);
   return OkStatus();
 }
 
@@ -500,7 +489,6 @@ Status RvmInstance::IncrementalTruncateLocked(LogShard& shard) {
     // not held recursively.
     return TruncateEpochLocked(shard);
   }
-  NotifyDurableWaiters(shard);
   return OkStatus();
 }
 
@@ -610,7 +598,8 @@ Status RvmInstance::IncrementalTruncateBothLocked(
   } else {
     shard.log->status().head = shard.page_queue.front().log_offset;
   }
-  Status status_write = shard.log->WriteStatus();
+  const uint64_t truncation_span = ReserveSpanId();
+  Status status_write = WriteStatusBothLocked(shard, truncation_span);
   if (!status_write.ok()) {
     PoisonShard(shard, status_write);
     return status_write;
@@ -618,7 +607,7 @@ Status RvmInstance::IncrementalTruncateBothLocked(
   shard.truncations.fetch_add(1, std::memory_order_relaxed);
   ++stats_.truncations_completed;
   RecordPhase(SpanKind::kTruncation, shard.index, truncation_start_us,
-              /*arg=*/1);
+              /*arg=*/1, truncation_span);
   return status_write;
 }
 
@@ -684,6 +673,7 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
         shards_[0]->log->status().next_segment_id;
     std::set<TransactionId> decided;
     bool has_records = false;
+    uint64_t apply_span = 0;  // the recovery-apply record, if any
     {
       std::lock_guard<std::mutex> log_lock(shard.log_mu);
       shard.log = std::move(healed);
@@ -728,8 +718,9 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
       // Phase 3+4: apply this shard's log newest-record-wins to its (
       // disjoint) segment set, prepares filtered through the decided set.
       std::lock_guard<std::mutex> log_lock(shard.log_mu);
-      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(shard, &decided,
-                                                 segment_files_, &phase_us));
+      apply_span = ReserveSpanId();
+      RVM_RETURN_IF_ERROR(RecoverShardBothLocked(
+          shard, &decided, segment_files_, &phase_us, apply_span));
     }
 
     // Phase 5: declare the log empty — but if it carried cross-shard
@@ -739,7 +730,7 @@ Status RvmInstance::RepairShardLocked(uint32_t index) {
     std::lock_guard<std::mutex> log_lock(shard.log_mu);
     shard.log->MarkEmpty();
     shard.holds_decisions = false;
-    RVM_RETURN_IF_ERROR(shard.log->WriteStatus());
+    RVM_RETURN_IF_ERROR(WriteStatusBothLocked(shard, apply_span));
 
     // Re-attach: the log is empty, so no page is dirty with respect to it.
     shard.page_queue.clear();

@@ -114,6 +114,10 @@ struct RvmStatistics {
 
   StatCounter log_forces;
   StatCounter log_flush_calls;
+  // Status-block writes (DESIGN.md §12): dictionary changes, head moves,
+  // recovery and Terminate. Each costs one fsync of its own, so the log
+  // device's syncs are exactly log_forces + status_writes.
+  StatCounter status_writes;
 
   // Group commit: one leader forces the log for every committer whose record
   // is already appended. batched_txns counts commits whose durability was
@@ -195,14 +199,16 @@ struct RvmStatistics {
   // (EndTransaction entry to durability ack); the commit_* sub-phase
   // histograms decompose it into lock queueing, record append, the group
   // leader's dwell window, and the fsync itself. log_force_us times every
-  // log force regardless of caller; set_range_us, truncation_step_us, and
-  // recovery_apply_us cover the remaining hot paths.
+  // log force regardless of caller, status_write_us every status-block
+  // write; set_range_us, truncation_step_us, and recovery_apply_us cover the
+  // remaining hot paths.
   LatencyHistogram commit_latency_us;
   LatencyHistogram commit_queue_wait_us;
   LatencyHistogram commit_append_us;
   LatencyHistogram commit_fsync_us;
   LatencyHistogram commit_group_dwell_us;
   LatencyHistogram log_force_us;
+  LatencyHistogram status_write_us;
   LatencyHistogram set_range_us;
   LatencyHistogram truncation_step_us;
   LatencyHistogram recovery_apply_us;
@@ -283,6 +289,7 @@ struct RvmStatistics {
     fn("inter_saved_bytes", inter_saved_bytes.load());
     fn("log_forces", log_forces.load());
     fn("log_flush_calls", log_flush_calls.load());
+    fn("status_writes", status_writes.load());
     fn("group_commit_batches", group_commit_batches.load());
     fn("slow_commits", slow_commits.load());
     fn("group_commit_batched_txns", group_commit_batched_txns.load());
@@ -322,6 +329,7 @@ struct RvmStatistics {
     fn("commit_fsync_us", commit_fsync_us);
     fn("commit_group_dwell_us", commit_group_dwell_us);
     fn("log_force_us", log_force_us);
+    fn("status_write_us", status_write_us);
     fn("set_range_us", set_range_us);
     fn("truncation_step_us", truncation_step_us);
     fn("recovery_apply_us", recovery_apply_us);
@@ -479,6 +487,7 @@ inline std::string FormatStatistics(const RvmStatistics& stats) {
   row("inter-txn bytes saved:", stats.inter_saved_bytes);
   row("log forces:", stats.log_forces);
   row("log flush calls:", stats.log_flush_calls);
+  row("status writes:", stats.status_writes);
   row("group commit batches:", stats.group_commit_batches);
   row("slow commits:", stats.slow_commits);
   row("group commit batched txns:", stats.group_commit_batched_txns);

@@ -40,6 +40,10 @@ const char* SpanKindName(SpanKind kind) {
       return "recovery-scan";
     case SpanKind::kRecoveryApply:
       return "recovery-apply";
+    case SpanKind::kStatusWrite:
+      return "status-write";
+    case SpanKind::kTerminate:
+      return "terminate";
     case SpanKind::kTxnBegin:
       return "txn-begin";
     case SpanKind::kSetRange:

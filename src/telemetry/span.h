@@ -46,6 +46,11 @@ enum class SpanKind : uint8_t {
   kTruncation,     // one truncation pass; arg = 0 epoch, 1 incremental
   kRecoveryScan,   // per-shard tail scan; arg = records found past the tail
   kRecoveryApply,  // per-shard log-to-segment replay; arg = records applied
+  kStatusWrite,    // one status-block write and its fsync, a child of the
+                   // truncation, recovery-apply or terminate record it
+                   // ends; arg = the block's generation
+  kTerminate,      // Terminate's final flush and status writes; arg =
+                   // status blocks written
   // Zero-duration events. Those that carry two values and own no
   // transaction put the first in `tid` (noted as tid=).
   kTxnBegin,          // tid = the new transaction

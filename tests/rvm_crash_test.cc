@@ -340,6 +340,100 @@ TEST(CrashRecoveryTest, TornFinalRecordIsDiscarded) {
   EXPECT_EQ(slots[2], 0u) << "torn second transaction partially applied";
 }
 
+TEST(CrashRecoveryTest, SingleShardRecoversForcesPastTheLastHeadMove) {
+  // One shard, incremental truncation, flush commits only. Commits write no
+  // status block (DESIGN.md §12): past the dictionary write at Map, head
+  // moves are the only status writes, so at the crash every commit acked
+  // since the last head move sits past the durable status block, and
+  // recovery must find it by forward scanning.
+  CrashSimEnv env;
+  ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
+  std::vector<uint64_t> expected(kSlots, 0);
+  uint64_t past_status = 0;  // acked commits after the last status write
+  {
+    RvmOptions options;
+    options.env = &env;
+    options.log_path = "/log";
+    options.runtime.use_incremental_truncation = true;
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    RegionDescriptor region;
+    region.segment_path = "/seg";
+    region.length = kRegionLen;
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* slots = static_cast<uint64_t*>(region.address);
+    const RvmStatistics& stats = (*rvm)->statistics();
+    const uint64_t writes_at_start = stats.status_writes;
+    uint64_t status_writes = writes_at_start;
+    for (uint64_t i = 0; i < 1201; ++i) {
+      Transaction txn(**rvm);
+      const uint64_t slot = (i * 37) % kSlots;
+      const uint64_t value = i + 1;
+      ASSERT_TRUE((*rvm)->Modify(txn.id(), &slots[slot], &value, 8).ok());
+      ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+      expected[slot] = value;
+      if (stats.status_writes != status_writes) {
+        status_writes = stats.status_writes;
+        past_status = 0;  // this commit's own head move covered its record
+      } else {
+        ++past_status;
+      }
+    }
+    ASSERT_GT(stats.bytes_logged.load(), 2 * kLogSize) << "the log wrapped at least twice";
+    EXPECT_EQ(stats.epoch_truncations.load(), 0u);
+    EXPECT_GT(stats.truncations_completed.load(), 0u);
+    EXPECT_EQ(status_writes - writes_at_start,
+              stats.truncations_completed.load())
+        << "head moves are the only status writes";
+    EXPECT_EQ(stats.log_forces.load(), 1201u) << "one force per commit";
+    ASSERT_GT(past_status, 0u) << "the crash must leave forces past the block";
+    env.Crash();
+  }
+  env.Recover();
+
+  // What recovery will see: the records the status block's live range
+  // names, and the forced records past its tail.
+  uint64_t live_records = 0;
+  uint64_t records_past_block = 0;
+  {
+    auto log = LogDevice::Open(&env, "/log");
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    const uint64_t block_tail_seqno = (*log)->status().tail_seqno;
+    ASSERT_TRUE((*log)->ExtendTailForward().ok());
+    LogDevice::LiveRecords walk(**log);
+    for (;;) {
+      auto record = walk.Next();
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      if (*record == nullptr) {
+        break;
+      }
+      const RecordHeader& header = (*record)->parsed.header;
+      if (header.type == RecordType::kWrapFiller) {
+        continue;
+      }
+      ++live_records;
+      records_past_block += header.seqno >= block_tail_seqno ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(records_past_block, past_status);
+
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  auto rvm = RvmInstance::Initialize(options);
+  ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+  EXPECT_EQ((*rvm)->statistics().recovery_records_applied.load(),
+            live_records);
+  RegionDescriptor region;
+  region.segment_path = "/seg";
+  region.length = kRegionLen;
+  ASSERT_TRUE((*rvm)->Map(region).ok());
+  const auto* slots = static_cast<const uint64_t*>(region.address);
+  for (uint64_t slot = 0; slot < kSlots; ++slot) {
+    ASSERT_EQ(slots[slot], expected[slot]) << "acked commit lost, slot " << slot;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Torn tail vs mid-log corruption (fail-stop on damaged committed data)
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Sharded multi-log tests (DESIGN.md §12): option validation, shard-count
 // detection and mismatch handling, striping, cross-shard transactions
 // through the internal 2PC, recovery across shards, and the force-count
-// guarantees (a single-shard transaction costs exactly one fsync on a
-// multi-shard instance thanks to deferred status writes).
+// guarantees (a single-shard transaction costs exactly one fsync on any
+// shard count: commits write no status block).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -344,10 +344,10 @@ TEST(ShardForceTest, SingleShardCommitCostsExactlyOneFsyncOnShardedInstance) {
   EXPECT_EQ(env.sync_count() - syncs_before, 1u);
 }
 
-TEST(ShardForceTest, SingleShardInstanceKeepsStatusWritePerBatch) {
-  // The 1-shard configuration preserves the original on-disk cadence: the
-  // group leader force is a data sync plus a status-block write (itself
-  // synced), i.e. two fsyncs per batch.
+TEST(ShardForceTest, SingleShardFlushCommitIsOneForce) {
+  // One status cadence on every shard count (DESIGN.md §12): the 1-shard
+  // group leader syncs the data and writes no status block either, so a
+  // flush commit is one fsync.
   CrashSimEnv env;
   ASSERT_TRUE(RvmInstance::CreateLog(&env, "/log", kLogSize).ok());
   RvmOptions options;
@@ -367,7 +367,8 @@ TEST(ShardForceTest, SingleShardInstanceKeepsStatusWritePerBatch) {
   ASSERT_TRUE((*rvm)->SetRange(*tid, base, 1).ok());
   *base = 0x7F;
   ASSERT_TRUE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
-  EXPECT_EQ(env.sync_count() - syncs_before, 2u);
+  EXPECT_EQ(env.sync_count() - syncs_before, 1u);
+  EXPECT_EQ((*rvm)->statistics().log_forces.load(), 1u);
 }
 
 // --- Recovery paths --------------------------------------------------------

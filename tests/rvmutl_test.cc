@@ -125,6 +125,12 @@ TEST_F(RvmutlTest, StatsRunsRecoveryAndPrintsCounters) {
   EXPECT_NE(result.output.find("group commit batches:"), std::string::npos);
   EXPECT_NE(result.output.find("commit latency max us:"), std::string::npos);
   EXPECT_NE(result.output.find("log in use:"), std::string::npos);
+  // Recovery empties the log with one status write, counted and timed
+  // apart from the log forces.
+  EXPECT_NE(result.output.find("status writes:                          1"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("status_write_us"), std::string::npos);
 }
 
 TEST_F(RvmutlTest, StatsJsonEmitsValidTelemetryDocument) {

@@ -14,6 +14,7 @@
 #include "src/os/crash_sim.h"
 #include "src/os/fault_env.h"
 #include "src/os/mem_env.h"
+#include "src/rvm/log_device.h"
 #include "src/rvm/rvm.h"
 #include "src/sim/sim_clock.h"
 #include "src/sim/sim_disk.h"
@@ -627,6 +628,94 @@ TEST(RvmSpanTest, TruncationAndRecoveryEmitMaintenanceSpans) {
   }
   EXPECT_TRUE(saw_scan);
   EXPECT_TRUE(saw_apply);
+}
+
+// The status-write child under `parent`, which must be the only one.
+const Span* StatusWriteUnder(const std::vector<Span>& spans,
+                             const Span& parent) {
+  const Span* child = nullptr;
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kStatusWrite &&
+        span.parent_id == parent.span_id) {
+      EXPECT_EQ(child, nullptr) << "one status write per record";
+      child = &span;
+    }
+  }
+  if (child != nullptr) {
+    EXPECT_EQ(child->shard, parent.shard);
+    EXPECT_GE(child->start_us, parent.start_us);
+  }
+  return child;
+}
+
+TEST(RvmSpanTest, StatusWritesAreChildrenOfTheRecordsTheyEnd) {
+  MemEnv env;
+  ASSERT_TRUE(
+      RvmInstance::CreateLog(&env, "/log", kLogDataStart + 64 * 1024).ok());
+  RvmOptions options;
+  options.env = &env;
+  options.log_path = "/log";
+  options.span_sample_rate = 1;
+  RegionDescriptor region;
+  region.segment_path = "/seg";
+  region.length = kPage;
+  {
+    auto rvm = RvmInstance::Initialize(options);
+    ASSERT_TRUE(rvm.ok()) << rvm.status().ToString();
+    ASSERT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+    for (uint8_t value : {1, 2}) {
+      Transaction txn(**rvm);
+      ASSERT_TRUE(txn.SetRange(base, 8).ok());
+      base[0] = value;
+      ASSERT_TRUE(txn.Commit(CommitMode::kFlush).ok());
+      if (value == 1) {
+        ASSERT_TRUE((*rvm)->Truncate().ok());
+      }
+    }
+    ASSERT_TRUE((*rvm)->Terminate().ok());
+    const std::vector<Span> spans = (*rvm)->SpanSnapshot();
+    int truncations = 0;
+    int terminates = 0;
+    for (const Span& span : spans) {
+      if (span.kind == SpanKind::kTruncation) {
+        ++truncations;
+        const Span* write = StatusWriteUnder(spans, span);
+        ASSERT_NE(write, nullptr);
+        EXPECT_LE(write->end_us, span.end_us);
+      }
+      if (span.kind == SpanKind::kTerminate) {
+        ++terminates;
+        EXPECT_EQ(span.arg, 1u) << "one shard's status block written";
+        const Span* write = StatusWriteUnder(spans, span);
+        ASSERT_NE(write, nullptr);
+        EXPECT_LE(write->end_us, span.end_us);
+      }
+    }
+    EXPECT_EQ(truncations, 1);
+    EXPECT_EQ(terminates, 1);
+    // The flush commits wrote no status block: every status-write record
+    // belongs to the truncation or Terminate.
+    EXPECT_EQ((*rvm)->statistics().status_writes.load(), 3u)
+        << "dictionary write at Map, truncation, Terminate";
+  }
+  // The second commit is still live: recovery replays it and then empties
+  // the log with one status write linked to its recovery-apply record.
+  auto reopened = RvmInstance::Initialize(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const std::vector<Span> spans = (*reopened)->SpanSnapshot();
+  int applies = 0;
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kRecoveryApply) {
+      ++applies;
+      const Span* write = StatusWriteUnder(spans, span);
+      ASSERT_NE(write, nullptr);
+      auto log = LogDevice::Open(&env, "/log");
+      ASSERT_TRUE(log.ok());
+      EXPECT_EQ(write->arg, (*log)->status().generation);
+    }
+  }
+  EXPECT_EQ(applies, 1);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // StatCounter watermark races, the JSON parser/validator, and the
 // end-to-end flight recorder (the event ring, DESIGN.md §10) — a
 // deterministic record sequence of one committed transaction and the
-// poison-dump sidecar written on the first I/O failure.
+// poison-dump sidecar written on the first I/O failure — and the commit
+// accounting checked against the simulated disk: every log fsync is a
+// counted force or status write, and the commit phases add up.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,9 +15,13 @@
 #include "src/os/fault_env.h"
 #include "src/os/mem_env.h"
 #include "src/rvm/rvm.h"
+#include "src/sim/sim_clock.h"
+#include "src/sim/sim_disk.h"
+#include "src/sim/sim_env.h"
 #include "src/telemetry/histogram.h"
 #include "src/telemetry/json.h"
 #include "src/telemetry/span.h"
+#include "src/workload/tpca.h"
 
 namespace rvm {
 namespace {
@@ -506,6 +512,107 @@ TEST(FlightRecorderTest, PoisonDumpCanBeDisabled) {
   base[0] = 1;
   ASSERT_FALSE((*rvm)->EndTransaction(*tid, CommitMode::kFlush).ok());
   EXPECT_FALSE(env.Exists("/log.poison.json"));
+}
+
+// ---------------------------------------------------------------------------
+// Commit accounting on the simulated disk (DESIGN.md §10, §12)
+
+// A single-client TPC-A run (§7.1.1) of flush commits on the simulated
+// benchmark machine, one log shard.
+class TpcaAccountingTest : public ::testing::Test {
+ protected:
+  TpcaAccountingTest() {
+    env_.Mount("/log", &log_disk_);
+    env_.Mount("/data", &data_disk_);
+  }
+
+  // Runs `txns` TPC-A transactions against a `log_size` log and terminates.
+  // Returns the log-disk fsyncs from Initialize through Terminate.
+  uint64_t Run(uint64_t log_size, uint64_t txns) {
+    EXPECT_TRUE(RvmInstance::CreateLog(&env_, "/log/rvm", log_size).ok());
+    const uint64_t syncs_before = log_disk_.syncs();
+    RvmOptions options;
+    options.env = &env_;
+    options.log_path = "/log/rvm";
+    options.runtime.use_incremental_truncation = true;
+    auto rvm = RvmInstance::Initialize(options);
+    EXPECT_TRUE(rvm.ok()) << rvm.status().ToString();
+    if (!rvm.ok()) {
+      return 0;
+    }
+    TpcaConfig config;
+    config.num_accounts = 1024;
+    TpcaWorkload workload(config);
+    RegionDescriptor region;
+    region.segment_path = "/data/tpca";
+    region.length = config.rmem_bytes();
+    EXPECT_TRUE((*rvm)->Map(region).ok());
+    auto* base = static_cast<uint8_t*>(region.address);
+    uint8_t* audit = base + config.accounts_bytes();
+    uint8_t* tellers = audit + config.audit_bytes();
+    uint8_t* branches = tellers + config.tellers_bytes();
+    for (uint64_t i = 0; i < txns; ++i) {
+      const TpcaTxn txn = workload.Next();
+      Transaction t(**rvm);
+      const std::pair<uint8_t*, uint64_t> ranges[] = {
+          {base + txn.account * TpcaConfig::kAccountBytes,
+           TpcaConfig::kAccountBytes},
+          {audit + txn.audit_slot * TpcaConfig::kAuditBytes,
+           TpcaConfig::kAuditBytes},
+          {tellers + txn.teller * TpcaConfig::kAccountBytes,
+           TpcaConfig::kAccountBytes},
+          {branches + txn.branch * TpcaConfig::kAccountBytes,
+           TpcaConfig::kAccountBytes}};
+      for (const auto& [address, length] : ranges) {
+        EXPECT_TRUE(t.SetRange(address, length).ok());
+        address[0] = static_cast<uint8_t>(i);
+      }
+      EXPECT_TRUE(t.Commit(CommitMode::kFlush).ok());
+    }
+    EXPECT_TRUE((*rvm)->Terminate().ok());
+    stats_ = (*rvm)->statistics().Snapshot();
+    return log_disk_.syncs() - syncs_before;
+  }
+
+  SimClock clock_;
+  SimDisk log_disk_{&clock_, "log"};
+  SimDisk data_disk_{&clock_, "data"};
+  SimEnv env_{&clock_};
+  RvmStatistics stats_;
+};
+
+TEST_F(TpcaAccountingTest, EveryLogFsyncIsAForceOrAStatusWrite) {
+  // A 128 KB log wraps many times under 2,000 commits, so head moves,
+  // the dictionary write at Map and Terminate all write status blocks.
+  const uint64_t syncs = Run(kLogDataStart + 128 * 1024, 2000);
+  EXPECT_GT(stats_.incremental_steps.load(), 0u);
+  EXPECT_GT(stats_.status_writes.load(), 2u);
+  EXPECT_EQ(stats_.status_write_us.count(), stats_.status_writes.load());
+  EXPECT_EQ(stats_.log_force_us.count(), stats_.log_forces.load());
+  EXPECT_EQ(syncs, stats_.log_forces.load() + stats_.status_writes.load());
+  // Terminate's flush has nothing left to force: the commits' own forces
+  // are the only ones.
+  EXPECT_EQ(stats_.log_forces.load(), 2000u);
+}
+
+TEST_F(TpcaAccountingTest, CommitPhasesSumToTheCommitLatency) {
+  // A 16 MB log: no truncation, so each flush commit is its queue wait,
+  // append, group dwell and one log force. The exact histogram sums must
+  // add up to the end-to-end sum within 5%; what is left is the clock
+  // reads between phases and the ack.
+  Run(16ull << 20, 200);
+  ASSERT_EQ(stats_.truncations_completed.load(), 0u);
+  const double total = static_cast<double>(
+      stats_.commit_latency_us.TakeSnapshot().sum);
+  const double phases = static_cast<double>(
+      stats_.commit_queue_wait_us.TakeSnapshot().sum +
+      stats_.commit_append_us.TakeSnapshot().sum +
+      stats_.commit_group_dwell_us.TakeSnapshot().sum +
+      stats_.commit_fsync_us.TakeSnapshot().sum);
+  ASSERT_GT(total, 0.0);
+  EXPECT_LE(phases, total);
+  EXPECT_GE(phases, 0.95 * total)
+      << "phases " << phases << " us of " << total << " us";
 }
 
 }  // namespace
